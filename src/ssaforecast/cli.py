@@ -127,8 +127,9 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
     try:
         if mode == "curriculum":
             schedule = cur.default_schedule(config.window, config.pc_step, params)
+            _, _, components = ssa.decompose(std, config.window)
             result = cur.curriculum_train(
-                std, config.window, config.embedding, schedule, config.hidden_units,
+                std, components, config.embedding, schedule, config.hidden_units,
                 config.seed, config.validation_fraction, patience,
             )
             state = result.final_state
@@ -239,18 +240,7 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
     std = standardize(raw)
     out = Path(config.output_dir)
     params = _stage_params(config)
-    curve = cur.error_vs_pc_curve(
-        std, config.window, config.embedding, config.hidden_units, params,
-        config.seeds[0], config.validation_fraction,
-    )
-    write_csv(
-        out / "curve.csv",
-        ["p", "train_mse", "validation_mse", "baseline_mse"],
-        (
-            (pt.p, pt.train_mse, pt.validation_mse, curve.baseline_validation_mse)
-            for pt in curve.points
-        ),
-    )
+
     def record(r: cur.SeedComparison) -> dict:
         return {
             "seed": r.seed,
@@ -262,40 +252,52 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
             "baseline_epochs": r.baseline_epochs,
         }
 
-    per_seed: list[dict] = []
-    failure: Exception | None = None
-    try:
-        comparison = cur.compare_curriculum_baseline(
-            raw.values, config.window, config.embedding, config.hidden_units, params,
-            config.pc_step, config.seeds, config.compare_horizon, config.validation_fraction,
-        )
-        per_seed = [record(r) for r in comparison.per_seed]
-        medians = {
-            "curriculum_validation_mse": comparison.median("curriculum_validation_mse"),
-            "baseline_validation_mse": comparison.median("baseline_validation_mse"),
-            "curriculum_forecast_rmse": comparison.median("curriculum_forecast_rmse"),
-            "baseline_forecast_rmse": comparison.median("baseline_forecast_rmse"),
-        }
-    except RuntimeFailure as exc:
-        failure = exc
-        per_seed = [record(r) for r in getattr(exc, "completed_seeds", ())]
-        medians = {}
+    # a failure anywhere below still writes this document, with an "error"
+    # field and whatever finished before it ("curve" stays null if the
+    # curve itself failed)
     document = {
-        "curve": {
+        "curve": None,
+        "compare_horizon": config.compare_horizon,
+        "per_seed": [],
+        "medians": {},
+        "config_echo": echo,
+    }
+    try:
+        curve = cur.error_vs_pc_curve(
+            std, config.window, config.embedding, config.hidden_units, params,
+            config.seeds[0], config.validation_fraction,
+        )
+        write_csv(
+            out / "curve.csv",
+            ["p", "train_mse", "validation_mse", "baseline_mse"],
+            (
+                (pt.p, pt.train_mse, pt.validation_mse, curve.baseline_validation_mse)
+                for pt in curve.points
+            ),
+        )
+        document["curve"] = {
             "curriculum_epochs": curve.curriculum_epochs,
             "baseline_epochs": curve.baseline_epochs,
             "baseline_train_mse": curve.baseline_train_mse,
             "baseline_validation_mse": curve.baseline_validation_mse,
-        },
-        "compare_horizon": config.compare_horizon,
-        "per_seed": per_seed,
-        "medians": medians,
-        "config_echo": echo,
-    }
-    if failure is not None:
-        document["error"] = str(failure)
+        }
+        comparison = cur.compare_curriculum_baseline(
+            raw.values, config.window, config.embedding, config.hidden_units, params,
+            config.pc_step, config.seeds, config.compare_horizon, config.validation_fraction,
+        )
+    except RuntimeFailure as exc:
+        document["per_seed"] = [record(r) for r in getattr(exc, "completed_seeds", ())]
+        document["error"] = str(exc)
         write_json(out / "comparison.json", document)
-        raise failure
+        raise
+    document["per_seed"] = [record(r) for r in comparison.per_seed]
+    medians = {
+        "curriculum_validation_mse": comparison.median("curriculum_validation_mse"),
+        "baseline_validation_mse": comparison.median("baseline_validation_mse"),
+        "curriculum_forecast_rmse": comparison.median("curriculum_forecast_rmse"),
+        "baseline_forecast_rmse": comparison.median("baseline_forecast_rmse"),
+    }
+    document["medians"] = medians
     write_json(out / "comparison.json", document)
     print(
         "medians: curriculum_val={curriculum_validation_mse:.6g} "

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadStep, DivergenceDetected, RuntimeFailure, ScheduleInvalid
+from .errors import BadStep, DimensionMismatch, DivergenceDetected, RuntimeFailure, ScheduleInvalid
 from .forecast import evaluate, multi_step_predict
 from .mlp import Network, TraceEntry, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
-from .ssa import decompose, partial_reconstruction
+from .ssa import ComponentSet, decompose, partial_reconstruction
 
 DEFAULT_VALIDATION_FRACTION = 0.10
 
@@ -100,7 +100,7 @@ def _stage_source(components, series: StandardizedSeries, stage: TrainingStage) 
 
 def curriculum_train(
     series: StandardizedSeries,
-    window: int,
+    components: ComponentSet,
     embedding: int,
     schedule: CurriculumSchedule,
     hidden: int,
@@ -109,18 +109,24 @@ def curriculum_train(
     patience: int | None = None,
     pin_split: bool = False,
 ) -> CurriculumResult:
-    """Decompose once, then run every stage on one warm-started network.
+    """Run every stage on one warm-started network.
 
+    `components` is the decomposition of `series` (its window is the run's
+    window), computed once by the caller and shared by all stages and seeds.
     Each stage embeds its own source series (filtered inputs predict filtered
     targets), re-draws the validation split with seed + stage index, and
     hands its returned parameters to the next stage.  With pin_split=True all
     stages reuse the seed-drawn split (same pair indices throughout), which
     makes a run directly comparable to a baseline run on the same seed.
     """
+    window = components.window
+    if components.n != series.n:
+        raise DimensionMismatch(
+            f"components decompose a series of length {components.n}, not {series.n}"
+        )
     for stage in schedule.stages:
         if not stage.is_raw and stage.p > window:
             raise ScheduleInvalid(f"stage component count {stage.p} exceeds window {window}")
-    _, _, components = decompose(series, window)
     net = init_network(embedding, hidden, seed)
     initial = net
     traces: list[tuple[TraceEntry, ...]] = []
@@ -306,11 +312,12 @@ def compare_curriculum_baseline(
     holdout = values[values.size - horizon :]
     std = standardize(fit)
     schedule = default_schedule(window, pc_step, params)
+    _, _, components = decompose(std, window)
     results: list[SeedComparison] = []
     for seed in seeds:
         try:
             cur = curriculum_train(
-                std, window, embedding, schedule, hidden, seed, fraction, patience=None,
+                std, components, embedding, schedule, hidden, seed, fraction, patience=None,
                 pin_split=True,
             )
             base_state, base_trace = baseline_train(

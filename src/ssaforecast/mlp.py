@@ -5,7 +5,7 @@ with best-on-validation early stopping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,26 +25,47 @@ OUTPUT_ACTIVATION = "identity"
 NETWORK_FORMAT_VERSION = 1
 
 
+_ARRAYS = ("hidden_weights", "hidden_biases", "output_weights", "output_bias")
+
+
 @dataclass(frozen=True)
-class Network:
+class _Parameters:
+    """The four parameter arrays of an (H, m) network, held as views of one
+    flat float64 vector (hidden weights row-major, hidden biases, output
+    weights, output bias) so that an update is one numpy call per operation."""
+
     hidden_weights: np.ndarray  # (H, m)
     hidden_biases: np.ndarray  # (H,)
     output_weights: np.ndarray  # (1, H)
     output_bias: np.ndarray  # (1,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        h, m = self.hidden_weights.shape
-        if self.hidden_biases.shape != (h,) or self.output_weights.shape != (1, h):
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAYS]
+        h, m = arrays[0].shape
+        if arrays[1].shape != (h,) or arrays[2].shape != (1, h):
             raise DimensionMismatch("layer shapes are inconsistent")
-        if self.output_bias.shape != (1,):
+        if arrays[3].shape != (1,):
             raise DimensionMismatch("output bias must hold exactly one value")
-        if not all(
-            np.all(np.isfinite(p))
-            for p in (self.hidden_weights, self.hidden_biases, self.output_weights, self.output_bias)
-        ):
-            raise ValueError("network parameters must be finite")
+        self._bind(np.concatenate([a.ravel() for a in arrays]), h, m)
+
+    def _bind(self, flat: np.ndarray, h: int, m: int) -> None:
+        k = h * m
+        # frozen: set the fields the way the dataclass __init__ would
+        self.__dict__.update(
+            flat=flat,
+            hidden_weights=flat[:k].reshape(h, m),
+            hidden_biases=flat[k : k + h],
+            output_weights=flat[k + h : k + 2 * h].reshape(1, h),
+            output_bias=flat[k + 2 * h :],
+        )
+
+    @classmethod
+    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int):
+        """Wrap a flat vector of the right length without copying it."""
+        obj = object.__new__(cls)
+        obj._bind(flat, hidden_dim, input_dim)
+        return obj
 
     @property
     def input_dim(self) -> int:
@@ -56,20 +77,42 @@ class Network:
 
 
 @dataclass(frozen=True)
-class Gradient:
-    hidden_weights: np.ndarray
-    hidden_biases: np.ndarray
-    output_weights: np.ndarray
-    output_bias: np.ndarray
+class Network(_Parameters):
+    """Network parameters; every construction rejects non-finite values."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._check_finite()
+
+    def _check_finite(self) -> None:
+        if not np.isfinite(self.flat).all():
+            raise ValueError("network parameters must be finite")
+
+    @classmethod
+    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int) -> "Network":
+        net = super()._from_flat(flat, hidden_dim, input_dim)
+        net._check_finite()
+        return net
+
+
+@dataclass(frozen=True)
+class Gradient(_Parameters):
+    """Parameter-shaped gradient (or momentum velocity).  A gradient from
+    backprop_gradient also carries the batch MSE it was taken at."""
+
+    loss: float = math.nan
+
+    @classmethod
+    def _from_flat(
+        cls, flat: np.ndarray, hidden_dim: int, input_dim: int, loss: float = math.nan
+    ) -> "Gradient":
+        grad = super()._from_flat(flat, hidden_dim, input_dim)
+        grad.__dict__["loss"] = loss
+        return grad
 
     @staticmethod
     def zeros_like(net: Network) -> "Gradient":
-        return Gradient(
-            np.zeros_like(net.hidden_weights),
-            np.zeros_like(net.hidden_biases),
-            np.zeros_like(net.output_weights),
-            np.zeros_like(net.output_bias),
-        )
+        return Gradient._from_flat(np.zeros_like(net.flat), net.hidden_dim, net.input_dim)
 
 
 def init_network(input_dim: int, hidden_dim: int, seed: int) -> Network:
@@ -112,11 +155,18 @@ def mse(predictions, targets) -> float:
         raise EmptyInput("mse needs at least one value")
     if p.shape != t.shape:
         raise LengthMismatch(f"length {p.size} vs {t.size}")
-    return float(np.mean((p - t) ** 2))
+    return _mean_square(p - t)
+
+
+def _mean_square(err: np.ndarray) -> float:
+    # np.mean's own arithmetic (sum, then divide by the count) without its
+    # Python-level overhead, so the value matches np.mean bitwise
+    return float(np.add.reduce(err**2, axis=None) / err.size)
 
 
 def backprop_gradient(net: Network, inputs, targets) -> Gradient:
-    """Exact gradient of the batch MSE with respect to every parameter."""
+    """Exact gradient of the batch MSE with respect to every parameter; the
+    batch MSE itself, from the same forward pass, is the gradient's `loss`."""
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -124,17 +174,30 @@ def backprop_gradient(net: Network, inputs, targets) -> Gradient:
     if x.shape[1] != net.input_dim or t.shape != (x.shape[0],):
         raise DimensionMismatch("batch shapes inconsistent with the network")
     n = x.shape[0]
-    z = x @ net.hidden_weights.T + net.hidden_biases  # (n, H)
-    h = np.tanh(z)
-    pred = h @ net.output_weights[0] + net.output_bias[0]
+    # in-place steps: the same arithmetic as z = x W^T + b, h = tanh(z),
+    # pred = h w_out + b_out, without the temporaries
+    h = x @ net.hidden_weights.T
+    h += net.hidden_biases
+    np.tanh(h, out=h)  # (n, H)
+    err = h @ net.output_weights[0]
+    err += net.output_bias[0]
+    err -= t  # pred - t
+    grad = Gradient._from_flat(
+        np.empty_like(net.flat), net.hidden_dim, net.input_dim, _mean_square(err)
+    )
     # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
-    dout = (2.0 / n) * (pred - t)  # (n,)
-    g_ow = (dout @ h)[None, :]  # (1, H)
-    g_ob = np.array([dout.sum()])
-    dz = np.outer(dout, net.output_weights[0]) * (1.0 - h * h)  # (n, H)
-    g_hw = dz.T @ x  # (H, m)
-    g_hb = dz.sum(axis=0)
-    return Gradient(g_hw, g_hb, g_ow, g_ob)
+    dout = err
+    dout *= 2.0 / n
+    np.matmul(dout, h, out=grad.output_weights[0])
+    grad.output_bias[0] = dout.sum()
+    # dz = outer(dout, w_out) * (1 - h^2), with h overwritten by 1 - h^2
+    dz = dout[:, None] * net.output_weights[0]  # (n, H)
+    h *= h
+    np.subtract(1.0, h, out=h)
+    dz *= h
+    np.matmul(dz.T, x, out=grad.hidden_weights)
+    dz.sum(axis=0, out=grad.hidden_biases)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -154,24 +217,18 @@ class TraceEntry(NamedTuple):
     validation_mse: float
 
 
-def gd_step(state: TrainState, grad: Gradient) -> TrainState:
-    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v."""
-    net, vel = state.network, state.velocity
+def gd_step(
+    net: Network, velocity: Gradient, grad: Gradient, lr: float, momentum: float
+) -> tuple[Network, Gradient]:
+    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v.
+
+    Returns the new network and velocity; raises ValueError if the updated
+    parameters are not finite."""
     if grad.hidden_weights.shape != net.hidden_weights.shape:
         raise DimensionMismatch("gradient shape does not match the network")
-    new_vel = Gradient(
-        state.momentum * vel.hidden_weights - state.learning_rate * grad.hidden_weights,
-        state.momentum * vel.hidden_biases - state.learning_rate * grad.hidden_biases,
-        state.momentum * vel.output_weights - state.learning_rate * grad.output_weights,
-        state.momentum * vel.output_bias - state.learning_rate * grad.output_bias,
-    )
-    new_net = Network(
-        net.hidden_weights + new_vel.hidden_weights,
-        net.hidden_biases + new_vel.hidden_biases,
-        net.output_weights + new_vel.output_weights,
-        net.output_bias + new_vel.output_bias,
-    )
-    return replace(state, network=new_net, velocity=new_vel)
+    h, m = net.hidden_weights.shape
+    v = momentum * velocity.flat - lr * grad.flat
+    return Network._from_flat(net.flat + v, h, m), Gradient._from_flat(v, h, m)
 
 
 def train(
@@ -190,8 +247,9 @@ def train(
     improvement (patience=None runs the full budget), or immediately once the
     training error hits exactly zero.
 
-    Raises DivergenceDetected (carrying the partial trace) if the training
-    error becomes non-finite.
+    Raises DivergenceDetected (carrying the partial trace) if the gradient or
+    the training error becomes non-finite, and ValueError if a step leaves
+    non-finite parameters.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -199,54 +257,53 @@ def train(
         raise ValueError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
-    state = TrainState(
-        network=net,
-        epoch=0,
-        train_mse=math.inf,
-        validation_mse=math.inf,
-        learning_rate=lr,
-        momentum=momentum,
-        velocity=Gradient.zeros_like(net),
-    )
+    inputs, targets = split.train.inputs, split.train.targets
+    velocity = Gradient.zeros_like(net)
     trace: list[TraceEntry] = []
-    best: TrainState | None = None
+    best_epoch = 0
     stale = 0
-    for epoch in range(1, epochs + 1):
-        # overflow here is not an error condition: it surfaces as a
-        # non-finite training error and raises DivergenceDetected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = backprop_gradient(state.network, split.train.inputs, split.train.targets)
-            if not all(
-                np.all(np.isfinite(g))
-                for g in (grad.hidden_weights, grad.hidden_biases, grad.output_weights, grad.output_bias)
-            ):
+    # overflow here is not an error condition: it surfaces as a non-finite
+    # gradient or training error and raises DivergenceDetected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the gradient pass at each epoch's stepped parameters also gives that
+        # epoch's training error, and its gradient drives the next epoch's step
+        grad = backprop_gradient(net, inputs, targets)
+        for epoch in range(1, epochs + 1):
+            if not np.isfinite(grad.flat).all():
                 raise DivergenceDetected(
                     f"gradient became non-finite at epoch {epoch}", trace=trace
                 )
-            state = gd_step(state, grad)
-            train_err = mse(
-                forward_batch(state.network, split.train.inputs), split.train.targets
-            )
+            net, velocity = gd_step(net, velocity, grad, lr, momentum)
+            grad = backprop_gradient(net, inputs, targets)
+            train_err = grad.loss
             if not math.isfinite(train_err):
                 raise DivergenceDetected(
                     f"training error became non-finite at epoch {epoch}", trace=trace
                 )
             val_err = mse(
-                forward_batch(state.network, split.validation.inputs), split.validation.targets
+                forward_batch(net, split.validation.inputs), split.validation.targets
             )
-        state = replace(state, epoch=epoch, train_mse=train_err, validation_mse=val_err)
-        trace.append(TraceEntry(epoch, train_err, val_err))
-        if best is None or val_err < best.validation_mse:
-            best = state
-            stale = 0
-        else:
-            stale += 1
-            if patience is not None and stale >= patience:
+            trace.append(TraceEntry(epoch, train_err, val_err))
+            if best_epoch == 0 or val_err < best_val:
+                best_epoch, best_train, best_val = epoch, train_err, val_err
+                best_net, best_velocity = net, velocity
+                stale = 0
+            else:
+                stale += 1
+                if patience is not None and stale >= patience:
+                    break
+            if train_err == 0.0:
                 break
-        if train_err == 0.0:
-            break
-    assert best is not None
-    return best, trace
+    state = TrainState(
+        network=best_net,
+        epoch=best_epoch,
+        train_mse=best_train,
+        validation_mse=best_val,
+        learning_rate=lr,
+        momentum=momentum,
+        velocity=best_velocity,
+    )
+    return state, trace
 
 
 def network_to_dict(net: Network) -> dict:
@@ -266,8 +323,9 @@ def network_to_dict(net: Network) -> dict:
 def network_from_dict(payload: dict) -> Network:
     """Rebuild a network from its serialized form.
 
-    Declared dimensions that disagree with the stored arrays raise
-    LengthMismatch (a corrupt artifact, not a configuration problem).
+    Declared dimensions that disagree with the stored arrays, and non-finite
+    stored values, raise LengthMismatch (a corrupt artifact, not a
+    configuration problem).
     """
     try:
         m = int(payload["input_dim"])
@@ -287,4 +345,6 @@ def network_from_dict(payload: dict) -> Network:
             f"stored arrays {hw.shape}/{hb.shape}/{ow.shape}/{ob.shape} disagree with "
             f"declared dims m={m}, H={h}"
         )
+    if not all(np.isfinite(a).all() for a in (hw, hb, ow, ob)):
+        raise LengthMismatch("stored network parameters must be finite")
     return Network(hw, hb, ow, ob)

@@ -1,0 +1,152 @@
+"""Reference trainer: the full-batch momentum training loop as first written,
+one TrainState and Network rebuilt per epoch and three forward passes per
+epoch (one inside the gradient, one for the training error after the step,
+one for the validation error).
+
+The functions below are that loop, its update step, its gradient and its
+error measure verbatim, renamed with a ``reference_`` prefix and made to call
+one another.  They share only the parameter containers, forward_batch and the
+error classes with ssaforecast.mlp, so tests can check that the lean trainer
+reproduces this loop bitwise.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from ssaforecast.errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    EmptyBatch,
+    EmptyInput,
+    LengthMismatch,
+)
+from ssaforecast.mlp import Gradient, Network, TraceEntry, TrainState, forward_batch
+
+
+def reference_mse(predictions, targets) -> float:
+    p = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if p.size == 0 or t.size == 0:
+        raise EmptyInput("mse needs at least one value")
+    if p.shape != t.shape:
+        raise LengthMismatch(f"length {p.size} vs {t.size}")
+    return float(np.mean((p - t) ** 2))
+
+
+def reference_backprop_gradient(net: Network, inputs, targets) -> Gradient:
+    """Exact gradient of the batch MSE with respect to every parameter."""
+    x = np.asarray(inputs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise EmptyBatch("gradient needs a non-empty (n, m) batch")
+    if x.shape[1] != net.input_dim or t.shape != (x.shape[0],):
+        raise DimensionMismatch("batch shapes inconsistent with the network")
+    n = x.shape[0]
+    z = x @ net.hidden_weights.T + net.hidden_biases  # (n, H)
+    h = np.tanh(z)
+    pred = h @ net.output_weights[0] + net.output_bias[0]
+    # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
+    dout = (2.0 / n) * (pred - t)  # (n,)
+    g_ow = (dout @ h)[None, :]  # (1, H)
+    g_ob = np.array([dout.sum()])
+    dz = np.outer(dout, net.output_weights[0]) * (1.0 - h * h)  # (n, H)
+    g_hw = dz.T @ x  # (H, m)
+    g_hb = dz.sum(axis=0)
+    return Gradient(g_hw, g_hb, g_ow, g_ob)
+
+
+def reference_gd_step(state: TrainState, grad: Gradient) -> TrainState:
+    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v."""
+    net, vel = state.network, state.velocity
+    if grad.hidden_weights.shape != net.hidden_weights.shape:
+        raise DimensionMismatch("gradient shape does not match the network")
+    new_vel = Gradient(
+        state.momentum * vel.hidden_weights - state.learning_rate * grad.hidden_weights,
+        state.momentum * vel.hidden_biases - state.learning_rate * grad.hidden_biases,
+        state.momentum * vel.output_weights - state.learning_rate * grad.output_weights,
+        state.momentum * vel.output_bias - state.learning_rate * grad.output_bias,
+    )
+    new_net = Network(
+        net.hidden_weights + new_vel.hidden_weights,
+        net.hidden_biases + new_vel.hidden_biases,
+        net.output_weights + new_vel.output_weights,
+        net.output_bias + new_vel.output_bias,
+    )
+    return replace(state, network=new_net, velocity=new_vel)
+
+
+def reference_train(
+    net: Network,
+    split,
+    epochs: int = 5000,
+    lr: float = 0.01,
+    momentum: float = 0.9,
+    patience: int | None = 200,
+) -> tuple[TrainState, list[TraceEntry]]:
+    """Full-batch gradient descent on the training pairs.
+
+    Each epoch takes one step and then records (epoch, train MSE, validation
+    MSE) at the new parameters.  Returns the state with the lowest validation
+    MSE seen; training stops early after `patience` epochs without
+    improvement (patience=None runs the full budget), or immediately once the
+    training error hits exactly zero.
+
+    Raises DivergenceDetected (carrying the partial trace) if the training
+    error becomes non-finite.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if lr <= 0.0:
+        raise ValueError("learning rate must be positive")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError("momentum must lie in [0, 1)")
+    state = TrainState(
+        network=net,
+        epoch=0,
+        train_mse=math.inf,
+        validation_mse=math.inf,
+        learning_rate=lr,
+        momentum=momentum,
+        velocity=Gradient.zeros_like(net),
+    )
+    trace: list[TraceEntry] = []
+    best: TrainState | None = None
+    stale = 0
+    for epoch in range(1, epochs + 1):
+        # overflow here is not an error condition: it surfaces as a
+        # non-finite training error and raises DivergenceDetected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = reference_backprop_gradient(state.network, split.train.inputs, split.train.targets)
+            if not all(
+                np.all(np.isfinite(g))
+                for g in (grad.hidden_weights, grad.hidden_biases, grad.output_weights, grad.output_bias)
+            ):
+                raise DivergenceDetected(
+                    f"gradient became non-finite at epoch {epoch}", trace=trace
+                )
+            state = reference_gd_step(state, grad)
+            train_err = reference_mse(
+                forward_batch(state.network, split.train.inputs), split.train.targets
+            )
+            if not math.isfinite(train_err):
+                raise DivergenceDetected(
+                    f"training error became non-finite at epoch {epoch}", trace=trace
+                )
+            val_err = reference_mse(
+                forward_batch(state.network, split.validation.inputs), split.validation.targets
+            )
+        state = replace(state, epoch=epoch, train_mse=train_err, validation_mse=val_err)
+        trace.append(TraceEntry(epoch, train_err, val_err))
+        if best is None or val_err < best.validation_mse:
+            best = state
+            stale = 0
+        else:
+            stale += 1
+            if patience is not None and stale >= patience:
+                break
+        if train_err == 0.0:
+            break
+    assert best is not None
+    return best, trace

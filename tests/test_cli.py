@@ -334,6 +334,34 @@ def test_corrupt_network_length_mismatch_exit_1(workdir, capsys):
     assert "LengthMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_network_exit_1(workdir, capsys, bad):
+    assert main(["train", "--config", "golden_config.json"]) == 0
+    text = read("out/network.json").decode()
+    payload = json.loads(text)
+    payload["hidden_weights"][0][0] = "BAD"
+    Path("corrupt.json").write_text(json.dumps(payload).replace('"BAD"', bad))
+    capsys.readouterr()
+    code = main(["predict", "--config", "golden_config.json", "--network", "corrupt.json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "LengthMismatch" in err and "finite" in err
+    assert not Path("out/forecast.csv").exists()
+
+
+def test_compare_curve_divergence_writes_error_document(workdir, capsys):
+    code = main(["compare", "--config", "golden_config.json", "--set", "seeds=1",
+                 "--set", "stage_lr=1000000.0"])
+    assert code == 1
+    assert "DivergenceDetected" in capsys.readouterr().err
+    doc = json.loads(read("out/comparison.json"))
+    assert doc["error"].startswith("training error became non-finite at epoch")
+    assert doc["curve"] is None
+    assert doc["per_seed"] == [] and doc["medians"] == {}
+    assert doc["config_echo"]["stage_lr"] == 1000000.0
+    assert not Path("out/curve.csv").exists()
+
+
 def test_missing_input_file_exit_1(workdir):
     assert main(["decompose", "--config", "golden_config.json",
                  "--set", "input_csv=missing.csv"]) == 1

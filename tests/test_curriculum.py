@@ -25,6 +25,11 @@ def bench_series():
     return standardize(two_sine_benchmark(400, seed=0))
 
 
+def components(series, window):
+    _, _, comps = decompose(series, window)
+    return comps
+
+
 # -- default_schedule ---------------------------------------------------------
 
 def test_schedule_m6_step2():
@@ -78,7 +83,7 @@ def test_raw_only_schedule_allowed():
 
 def test_degenerate_raw_only_equals_baseline(bench_series):
     sched = CurriculumSchedule((TrainingStage(None, PARAMS),), 2)
-    result = curriculum_train(bench_series, 12, 5, sched, 6, seed=3, patience=None)
+    result = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=3, patience=None)
     base_state, base_trace = baseline_train(
         bench_series, 5, 6, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, seed=3, patience=None
     )
@@ -93,7 +98,7 @@ def test_degenerate_raw_only_equals_baseline(bench_series):
 
 def test_same_seed_shares_initial_network(bench_series):
     sched = default_schedule(12, 4, PARAMS)
-    result = curriculum_train(bench_series, 12, 5, sched, 6, seed=9, patience=None)
+    result = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=9, patience=None)
     base_init = init_network(5, 6, seed=9)
     np.testing.assert_array_equal(result.initial_network.hidden_weights, base_init.hidden_weights)
     np.testing.assert_array_equal(result.initial_network.output_weights, base_init.output_weights)
@@ -104,7 +109,7 @@ def test_warm_start_continuity(bench_series):
     reproduces the recorded traces bitwise."""
     window, m, hidden, seed = 12, 5, 6, 5
     sched = default_schedule(window, 6, PARAMS)
-    result = curriculum_train(bench_series, window, m, sched, hidden, seed, patience=None)
+    result = curriculum_train(bench_series, components(bench_series, window), m, sched, hidden, seed, patience=None)
 
     _, _, comps = decompose(bench_series, window)
     net = init_network(m, hidden, seed)
@@ -120,7 +125,7 @@ def test_warm_start_continuity(bench_series):
 
 def test_stage_boundaries_partition_trace(bench_series):
     sched = default_schedule(12, 4, PARAMS)
-    result = curriculum_train(bench_series, 12, 5, sched, 6, seed=2, patience=None)
+    result = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=2, patience=None)
     lengths = [len(t) for t in result.stage_traces]
     assert list(result.stage_boundaries) == list(np.cumsum(lengths))
     assert result.total_epochs == sum(lengths)
@@ -129,8 +134,8 @@ def test_stage_boundaries_partition_trace(bench_series):
 
 def test_curriculum_bitwise_reproducible(bench_series):
     sched = default_schedule(12, 4, PARAMS)
-    a = curriculum_train(bench_series, 12, 5, sched, 6, seed=7, patience=None)
-    b = curriculum_train(bench_series, 12, 5, sched, 6, seed=7, patience=None)
+    a = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=7, patience=None)
+    b = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=7, patience=None)
     assert a.stage_traces == b.stage_traces
     np.testing.assert_array_equal(
         a.final_state.network.hidden_weights, b.final_state.network.hidden_weights
@@ -142,12 +147,12 @@ def test_curriculum_rejects_oversized_stage(bench_series):
         (TrainingStage(2, PARAMS), TrainingStage(40, PARAMS), TrainingStage(None, PARAMS)), 2
     )
     with pytest.raises(ScheduleInvalid):
-        curriculum_train(bench_series, 12, 5, sched, 6, seed=0)
+        curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=0)
 
 
 def test_config_echo_records_stages(bench_series):
     sched = default_schedule(8, 2, PARAMS)
-    result = curriculum_train(bench_series, 8, 4, sched, 5, seed=1, patience=None)
+    result = curriculum_train(bench_series, components(bench_series, 8), 4, sched, 5, seed=1, patience=None)
     echo = result.config_echo
     assert echo["window"] == 8 and echo["embedding"] == 4 and echo["seed"] == 1
     assert echo["stages"][-1]["source"] == "raw"
@@ -229,7 +234,7 @@ def test_comparison_rejects_oversized_horizon():
 def test_divergence_carries_stage_traces(bench_series):
     sched = default_schedule(12, 6, StageParams(50, 1e6, 0.0))
     with pytest.raises(DivergenceDetected) as err:
-        curriculum_train(bench_series, 12, 5, sched, 6, seed=0, patience=None)
+        curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=0, patience=None)
     assert hasattr(err.value, "stage_traces")
     assert isinstance(err.value.stage_traces[-1], tuple)
 

@@ -15,7 +15,6 @@ from ssaforecast.errors import (
 from ssaforecast.mlp import (
     Gradient,
     Network,
-    TrainState,
     backprop_gradient,
     forward,
     forward_batch,
@@ -209,6 +208,36 @@ def test_output_bias_gradient_single_sample():
     assert grad.output_bias[0] == pytest.approx(2.0 * (a - t[0]), rel=1e-12)
 
 
+def test_gradient_loss_is_batch_mse():
+    net = random_network(3, 4, seed=21, scale=0.8)
+    rng = SplitMix64(22)
+    inputs = rng.normals(30).reshape(10, 3)
+    targets = rng.normals(10)
+    grad = backprop_gradient(net, inputs, targets)
+    assert grad.loss == mse(forward_batch(net, inputs), targets)
+
+
+def test_parameter_arrays_are_views_of_flat_vector():
+    net = random_network(3, 4, seed=23)
+    assert net.flat.shape == (4 * 3 + 4 + 4 + 1,)
+    np.testing.assert_array_equal(
+        net.flat,
+        np.concatenate([net.hidden_weights.ravel(), net.hidden_biases,
+                        net.output_weights.ravel(), net.output_bias]),
+    )
+    for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
+        assert np.shares_memory(getattr(net, name), net.flat)
+
+
+def test_network_rejects_non_finite_and_bad_shapes():
+    with pytest.raises(ValueError, match="must be finite"):
+        Network(np.full((1, 1), np.nan), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+    with pytest.raises(DimensionMismatch):
+        Network(np.zeros((2, 1)), np.zeros(1), np.zeros((1, 2)), np.zeros(1))
+    with pytest.raises(DimensionMismatch):
+        Gradient(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(2))
+
+
 def test_gradient_empty_batch():
     with pytest.raises(EmptyBatch):
         backprop_gradient(zero_network(2, 2), np.empty((0, 2)), np.empty(0))
@@ -216,24 +245,12 @@ def test_gradient_empty_batch():
 
 # -- gd_step ----------------------------------------------------------------------
 
-def make_state(net, lr=0.1, momentum=0.0):
-    return TrainState(
-        network=net,
-        epoch=0,
-        train_mse=0.0,
-        validation_mse=0.0,
-        learning_rate=lr,
-        momentum=momentum,
-        velocity=Gradient.zeros_like(net),
-    )
-
-
 def test_gd_step_fixed_point():
     net = random_network(2, 2, seed=3)
-    state = make_state(net)
-    stepped = gd_step(state, Gradient.zeros_like(net))
-    np.testing.assert_array_equal(stepped.network.hidden_weights, net.hidden_weights)
-    np.testing.assert_array_equal(stepped.network.output_bias, net.output_bias)
+    zero = Gradient.zeros_like(net)
+    stepped, _ = gd_step(net, zero, zero, lr=0.1, momentum=0.0)
+    np.testing.assert_array_equal(stepped.hidden_weights, net.hidden_weights)
+    np.testing.assert_array_equal(stepped.output_bias, net.output_bias)
 
 
 def test_gd_step_momentum_zero_is_sgd():
@@ -241,24 +258,47 @@ def test_gd_step_momentum_zero_is_sgd():
     grad = Gradient(
         np.full((2, 2), 0.5), np.full(2, -0.25), np.full((1, 2), 1.0), np.array([2.0])
     )
-    stepped = gd_step(make_state(net, lr=0.1, momentum=0.0), grad)
+    stepped, _ = gd_step(net, Gradient.zeros_like(net), grad, lr=0.1, momentum=0.0)
     np.testing.assert_allclose(
-        stepped.network.hidden_weights, net.hidden_weights - 0.05, atol=1e-15
+        stepped.hidden_weights, net.hidden_weights - 0.05, atol=1e-15
     )
-    np.testing.assert_allclose(stepped.network.output_bias, net.output_bias - 0.2, atol=1e-15)
+    np.testing.assert_allclose(stepped.output_bias, net.output_bias - 0.2, atol=1e-15)
 
 
 def test_gd_step_quadratic_hand_iteration():
     # f(w) = w^2 on the output bias alone: w <- w - 0.1 * 2w = 0.8 w
     net = Network(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([1.0]))
-    state = make_state(net, lr=0.1, momentum=0.0)
+    velocity = Gradient.zeros_like(net)
     for _ in range(3):
-        w = state.network.output_bias[0]
+        w = net.output_bias[0]
         grad = Gradient(
             np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([2.0 * w])
         )
-        state = gd_step(state, grad)
-    assert state.network.output_bias[0] == pytest.approx(0.512, abs=1e-15)
+        net, velocity = gd_step(net, velocity, grad, lr=0.1, momentum=0.0)
+    assert net.output_bias[0] == pytest.approx(0.512, abs=1e-15)
+
+
+def test_gd_step_momentum_accumulates_velocity():
+    # constant gradient g: v1 = -lr g, v2 = momentum v1 - lr g
+    net = zero_network(1, 1)
+    grad = Gradient(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.ones(1))
+    net, velocity = gd_step(net, Gradient.zeros_like(net), grad, lr=0.1, momentum=0.5)
+    net, velocity = gd_step(net, velocity, grad, lr=0.1, momentum=0.5)
+    np.testing.assert_allclose(velocity.flat, -0.15, rtol=1e-15)
+    np.testing.assert_allclose(net.flat, -0.25, rtol=1e-15)
+
+
+def test_gd_step_rejects_non_finite_parameters():
+    net = zero_network(1, 1)
+    grad = Gradient(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.array([-1e308]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        gd_step(net, Gradient.zeros_like(net), grad, lr=10.0, momentum=0.0)
+
+
+def test_gd_step_rejects_mismatched_gradient():
+    net = zero_network(2, 3)
+    with pytest.raises(DimensionMismatch):
+        gd_step(net, Gradient.zeros_like(net), Gradient.zeros_like(zero_network(3, 2)), 0.1, 0.0)
 
 
 # -- train ------------------------------------------------------------------------
@@ -333,6 +373,18 @@ def test_network_from_dict_rejects_inconsistent_arrays():
     payload = network_to_dict(init_network(4, 6, seed=11))
     payload["hidden_biases"] = payload["hidden_biases"][:-1]
     with pytest.raises(LengthMismatch):
+        network_from_dict(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["hidden_weights", "output_bias"])
+def test_network_from_dict_rejects_non_finite_values(key, bad):
+    payload = network_to_dict(init_network(3, 4, seed=12))
+    if key == "hidden_weights":
+        payload[key][1][2] = bad
+    else:
+        payload[key][0] = bad
+    with pytest.raises(LengthMismatch, match="must be finite"):
         network_from_dict(payload)
 
 

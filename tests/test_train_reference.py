@@ -1,0 +1,143 @@
+"""The lean trainer in ssaforecast.mlp against the reference loop in
+tests/reference_train.py: every run must agree bitwise in the trace, the
+best network, its velocity, its epoch and its errors, and a failing run must
+fail the same way with the same partial trace."""
+
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from reference_train import reference_train
+
+from ssaforecast.benchmark import two_sine_benchmark
+from ssaforecast.errors import DivergenceDetected
+from ssaforecast.mlp import Network, init_network, train
+from ssaforecast.series import build_embedding, load_csv, split_validation, standardize
+from ssaforecast.ssa import decompose, partial_reconstruction
+
+SUNSPOTS = Path(__file__).resolve().parents[1] / "data" / "sunspots_monthly.csv"
+ARRAYS = ("hidden_weights", "hidden_biases", "output_weights", "output_bias")
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+def trace_bits(trace):
+    return [(e.epoch, bits(e.train_mse), bits(e.validation_mse)) for e in trace]
+
+
+def assert_bitwise_equal_runs(net, split, epochs, lr, momentum, patience):
+    state, trace = train(net, split, epochs, lr, momentum, patience)
+    ref_state, ref_trace = reference_train(net, split, epochs, lr, momentum, patience)
+    assert trace_bits(trace) == trace_bits(ref_trace)
+    assert state.epoch == ref_state.epoch
+    assert bits(state.train_mse) == bits(ref_state.train_mse)
+    assert bits(state.validation_mse) == bits(ref_state.validation_mse)
+    assert (state.learning_rate, state.momentum) == (ref_state.learning_rate, ref_state.momentum)
+    for name in ARRAYS:
+        for got, want in ((state.network, ref_state.network), (state.velocity, ref_state.velocity)):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return state, trace
+
+
+@pytest.fixture(scope="module")
+def sunspots():
+    raw = load_csv(SUNSPOTS, "sunspots", "time")
+    return standardize(raw)
+
+
+def test_warm_started_sunspot_curriculum_with_patience(sunspots):
+    """All 19 stages of the sunspot curriculum (M=35, pc_step=2, 600 epochs,
+    patience 200), each warm-started from the previous stage's best network;
+    some stages stop on patience and some run their full budget."""
+    _, _, comps = decompose(sunspots, 35)
+    net = init_network(5, 10, seed=0)
+    lengths = []
+    for idx, p in enumerate([*range(2, 35, 2), 35, None]):
+        source = sunspots.values if p is None else partial_reconstruction(comps, p)
+        split = split_validation(build_embedding(source, 5), 0.10, idx)
+        state, trace = assert_bitwise_equal_runs(net, split, 600, 0.05, 0.9, patience=200)
+        if len(trace) < 600:
+            assert state.epoch == len(trace) - 200
+        lengths.append(len(trace))
+        net = state.network
+    assert min(lengths) < 600 and max(lengths) == 600
+
+
+@pytest.mark.parametrize("hidden, m, momentum", [(5, 4, 0.9), (7, 3, 0.5), (1, 1, 0.0), (12, 6, 0.95)])
+def test_full_budget_without_patience(hidden, m, momentum):
+    series = standardize(two_sine_benchmark(300, seed=hidden)).values
+    split = split_validation(build_embedding(series, m), 0.10, seed=m)
+    net = init_network(m, hidden, seed=hidden + m)
+    _, trace = assert_bitwise_equal_runs(net, split, 300, 0.05, momentum, patience=None)
+    assert len(trace) == 300
+
+
+def test_plateau_keeps_the_first_best_epoch():
+    """Only the output bias can move (zero weights): it settles on the mean
+    training target, the validation error stops changing bit for bit, and the
+    first epoch at that level stays the best until patience runs out."""
+    rows = np.linspace(-1.0, 1.0, 120).reshape(40, 3)
+    train_pairs = SimpleNamespace(inputs=rows, targets=1.0 + 0.5 * (-1.0) ** np.arange(40))
+    validation_pairs = SimpleNamespace(inputs=rows[:5], targets=np.full(5, 2.0))
+    split = SimpleNamespace(train=train_pairs, validation=validation_pairs)
+    net = Network(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
+    state, trace = assert_bitwise_equal_runs(net, split, 1000, 0.4, 0.0, patience=50)
+    assert len(trace) < 1000 and state.epoch == len(trace) - 50
+    assert trace[-1].validation_mse == state.validation_mse
+
+
+def test_zero_error_stops_at_once():
+    series = standardize(two_sine_benchmark(120, seed=2)).values
+    split = split_validation(build_embedding(series, 3), 0.10, seed=2)
+    zero = lambda a: replace(a, targets=np.zeros_like(a.targets))
+    split = replace(split, train=zero(split.train), validation=zero(split.validation))
+    net = Network(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
+    state, trace = assert_bitwise_equal_runs(net, split, 50, 0.1, 0.9, patience=10)
+    assert len(trace) == 1 and state.train_mse == 0.0
+
+
+def failure(run):
+    with pytest.raises(Exception) as err:
+        run()
+    exc = err.value
+    return type(exc), str(exc), trace_bits(getattr(exc, "trace", []))
+
+
+def assert_same_failure(net, split, epochs, lr, momentum, patience=None):
+    got = failure(lambda: train(net, split, epochs, lr, momentum, patience))
+    want = failure(lambda: reference_train(net, split, epochs, lr, momentum, patience))
+    assert got == want
+    return got
+
+
+def test_divergence_fails_like_the_reference():
+    series = standardize(two_sine_benchmark(200, seed=4)).values
+    split = split_validation(build_embedding(series, 4), 0.10, seed=4)
+    kind, message, trace = assert_same_failure(init_network(4, 5, seed=4), split, 200, 1e6, 0.0)
+    assert kind is DivergenceDetected
+    assert message.startswith("training error became non-finite at epoch")
+    assert len(trace) > 1
+
+
+def huge_input_split(scale, target):
+    pair = SimpleNamespace(inputs=np.full((2, 1), scale), targets=np.full(2, target))
+    return SimpleNamespace(train=pair, validation=pair)
+
+
+def test_non_finite_gradient_fails_like_the_reference():
+    # finite error, but dz^T x overflows on inputs near the float64 limit
+    net = Network(np.full((1, 1), 1e-308), np.zeros(1), np.ones((1, 1)), np.zeros(1))
+    kind, message, _ = assert_same_failure(net, huge_input_split(1e308, target=100.0), 5, 0.1, 0.9)
+    assert (kind, message) == (DivergenceDetected, "gradient became non-finite at epoch 1")
+
+
+def test_non_finite_step_fails_like_the_reference():
+    # finite gradient, but the step overflows the hidden weight
+    net = Network(np.full((1, 1), 1e-300), np.zeros(1), np.ones((1, 1)), np.zeros(1))
+    kind, message, _ = assert_same_failure(net, huge_input_split(1e300, target=1.0), 5, 1e10, 0.9)
+    assert (kind, message) == (ValueError, "network parameters must be finite")
