@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadStep, DimensionMismatch, DivergenceDetected, RuntimeFailure, ScheduleInvalid
+from .errors import BadStep, DivergenceDetected, RuntimeFailure, ScheduleInvalid
 from .forecast import evaluate, multi_step_predict
 from .mlp import Network, TraceEntry, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
@@ -120,10 +120,6 @@ def curriculum_train(
     makes a run directly comparable to a baseline run on the same seed.
     """
     window = components.window
-    if components.n != series.n:
-        raise DimensionMismatch(
-            f"components decompose a series of length {components.n}, not {series.n}"
-        )
     for stage in schedule.stages:
         if not stage.is_raw and stage.p > window:
             raise ScheduleInvalid(f"stage component count {stage.p} exceeds window {window}")
