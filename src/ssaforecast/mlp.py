@@ -49,7 +49,7 @@ class _Parameters:
             raise DimensionMismatch("output bias must hold exactly one value")
         self._bind(np.concatenate([a.ravel() for a in arrays]), h, m)
 
-    def _bind(self, flat: np.ndarray, h: int, m: int) -> None:
+    def _bind(self, flat: np.ndarray, h: int, m: int, **fields) -> None:
         k = h * m
         # frozen: set the fields the way the dataclass __init__ would
         self.__dict__.update(
@@ -58,13 +58,18 @@ class _Parameters:
             hidden_biases=flat[k : k + h],
             output_weights=flat[k + h : k + 2 * h].reshape(1, h),
             output_bias=flat[k + 2 * h :],
+            **fields,
         )
+        self._check()
+
+    def _check(self) -> None:
+        pass
 
     @classmethod
-    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int):
+    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int, **fields):
         """Wrap a flat vector of the right length without copying it."""
         obj = object.__new__(cls)
-        obj._bind(flat, hidden_dim, input_dim)
+        obj._bind(flat, hidden_dim, input_dim, **fields)
         return obj
 
     @property
@@ -80,19 +85,9 @@ class _Parameters:
 class Network(_Parameters):
     """Network parameters; every construction rejects non-finite values."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        self._check_finite()
-
-    def _check_finite(self) -> None:
+    def _check(self) -> None:
         if not np.isfinite(self.flat).all():
             raise ValueError("network parameters must be finite")
-
-    @classmethod
-    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int) -> "Network":
-        net = super()._from_flat(flat, hidden_dim, input_dim)
-        net._check_finite()
-        return net
 
 
 @dataclass(frozen=True)
@@ -101,14 +96,6 @@ class Gradient(_Parameters):
     backprop_gradient also carries the batch MSE it was taken at."""
 
     loss: float = math.nan
-
-    @classmethod
-    def _from_flat(
-        cls, flat: np.ndarray, hidden_dim: int, input_dim: int, loss: float = math.nan
-    ) -> "Gradient":
-        grad = super()._from_flat(flat, hidden_dim, input_dim)
-        grad.__dict__["loss"] = loss
-        return grad
 
     @staticmethod
     def zeros_like(net: Network) -> "Gradient":
@@ -183,7 +170,7 @@ def backprop_gradient(net: Network, inputs, targets) -> Gradient:
     err += net.output_bias[0]
     err -= t  # pred - t
     grad = Gradient._from_flat(
-        np.empty_like(net.flat), net.hidden_dim, net.input_dim, _mean_square(err)
+        np.empty_like(net.flat), net.hidden_dim, net.input_dim, loss=_mean_square(err)
     )
     # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
     dout = err
