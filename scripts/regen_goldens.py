@@ -19,7 +19,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from ssaforecast.cli import main  # noqa: E402
 
 GOLDEN_DIR = ROOT / "tests" / "fixtures" / "golden"
-GOLDEN_FILES = ("summary.json", "network.json", "trace.csv", "forecast.csv", "forecast.json")
+GOLDEN_FILES = (
+    "spectrum.json", "components.csv", "singular_spectrum.csv",
+    "summary.json", "network.json", "trace.csv", "forecast.csv", "forecast.json",
+)
 
 
 def run() -> None:
@@ -32,7 +35,8 @@ def run() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in (["train", "--config", "golden_config.json"],
+            for argv in (["decompose", "--config", "golden_config.json"],
+                         ["train", "--config", "golden_config.json"],
                          ["predict", "--config", "golden_config.json", "--network", "out/network.json"]):
                 code = main(argv)
                 if code != 0:

@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import curriculum as cur
 from . import forecast as fc
 from . import mlp, ssa
@@ -79,10 +81,7 @@ def cmd_decompose(config: RunConfig, echo: dict) -> int:
         },
     )
     header = ["series"] + [f"rc_{k}" for k in range(1, config.window + 1)]
-    rows = (
-        [std.values[i]] + list(comps.rcs[i]) for i in range(std.n)
-    )
-    write_csv(out / "components.csv", header, rows)
+    write_csv(out / "components.csv", header, np.column_stack([std.values, comps.rcs]))
     plot = ssa.singular_spectrum_plot_data(spectrum)
     write_csv(
         out / "singular_spectrum.csv",

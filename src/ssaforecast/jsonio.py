@@ -1,25 +1,65 @@
 """Deterministic serialization: every float is written with 17 significant
-digits (lossless for doubles), files are written atomically (temp file then
-rename), so identical runs produce byte-identical artifacts."""
+digits ("%.17g", lossless for doubles) and non-finite values are refused, so
+identical runs produce byte-identical artifacts.
+
+A CSV row is formatted by one "%" template made from its cell types; a 2-D
+float array, like a float array in JSON, is checked for finiteness in one
+call and converted to Python floats a block of rows at a time.  Each file is
+streamed to a temp file ``<name>.<pid>.<n>.tmp`` next to the target, unique
+to the writer, which replaces the target once complete and is removed on any
+error: the target is always either the old file or the complete new one.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+# rows converted and written per block: bounds the Python floats held at once
+_BLOCK_ROWS = 256
+_temp_ids = itertools.count()
+
+
+def _non_finite(x) -> ValueError:
+    return ValueError(f"refusing to serialize non-finite value {x}")
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x}")
-    return format(float(x), ".17g")
+        raise _non_finite(x)
+    return "%.17g" % x
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Raise for the first non-finite entry in row-major order, if any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _non_finite(float(values[~finite][0]))
+
+
+def _bracket(items: list[str], indent: int, level: int, open_: str, close: str) -> str:
+    if not items:
+        return open_ + close
+    pad = " " * (indent * level)
+    child_pad = " " * (indent * (level + 1))
+    return f"{open_}\n{child_pad}" + f",\n{child_pad}".join(items) + f"\n{pad}{close}"
+
+
+def _render_floats(values: list, indent: int, level: int) -> str:
+    """A nested list of finite floats, laid out as _render lays out lists."""
+    if values and isinstance(values[0], list):
+        items = [_render_floats(v, indent, level + 1) for v in values]
+    else:
+        items = ["%.17g" % v for v in values]
+    return _bracket(items, indent, level, "[", "]")
 
 
 def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    child_pad = " " * (indent * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -33,20 +73,18 @@ def _render(obj, indent: int, level: int) -> str:
         out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
         return f'"{out}"'
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim:
+            _check_finite(obj)
+            return _render_floats(obj.tolist(), indent, level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(child_pad + it for it in items) + "\n" + pad + "]"
+        return _bracket([_render(v, indent, level + 1) for v in obj], indent, level, "[", "]")
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [
-            f"{child_pad}{_render(str(k), indent, 0)}: {_render(v, indent, level + 1)}"
+            f"{_render(str(k), indent, 0)}: {_render(v, indent, level + 1)}"
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _bracket(items, indent, level, "{", "}")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -55,29 +93,90 @@ def dumps(obj, indent: int = 2) -> str:
     return _render(obj, indent, 0) + "\n"
 
 
-def write_text_atomic(path, text: str) -> None:
+@contextmanager
+def _atomic_open(path):
+    """Text file handle on a fresh temp file next to `path`; the temp file
+    replaces `path` when the block completes and is removed if it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_temp_ids)}.tmp")
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+        except FileExistsError:  # left by a dead process with this pid
+            continue
+        break
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, obj) -> None:
-    write_text_atomic(path, dumps(obj))
+    text = dumps(obj)
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    return str(value)
+def _row_format(types: tuple[type, ...]) -> tuple[str, list[int], list[int]]:
+    """(template, float positions, bool positions) for rows with these cell
+    types; a bool takes a "%s" slot and is passed in as "true" or "false"."""
+    slots, floats, bools = [], [], []
+    for i, kind in enumerate(types):
+        if issubclass(kind, (bool, np.bool_)):
+            bools.append(i)
+            slots.append("%s")
+        elif issubclass(kind, (int, np.integer)):
+            slots.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            floats.append(i)
+            slots.append("%.17g")
+        else:
+            slots.append("%s")
+    return ",".join(slots) + "\n", floats, bools
+
+
+def _csv_blocks(rows):
+    """The CSV text of `rows`, a block of rows at a time."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        _check_finite(rows)
+        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS].tolist()
+            yield "".join([template % tuple(row) for row in block])
+        return
+    formats = {}
+    lines = []
+    isfinite = math.isfinite
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        spec = formats.get(types)
+        if spec is None:
+            spec = formats[types] = _row_format(types)
+        template, floats, bools = spec
+        for i in floats:
+            if not isfinite(row[i]):
+                raise _non_finite(float(row[i]))
+        if bools:
+            row = tuple(
+                ("true" if cell else "false") if i in bools else cell
+                for i, cell in enumerate(row)
+            )
+        lines.append(template % row)
+        if len(lines) == _BLOCK_ROWS:
+            yield "".join(lines)
+            lines = []
+    yield "".join(lines)
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write `header` and `rows` (any iterable of row iterables, or a 2-D
+    float array) as comma-separated lines."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for block in _csv_blocks(rows):
+            fh.write(block)

@@ -234,9 +234,8 @@ def train(
     improvement (patience=None runs the full budget), or immediately once the
     training error hits exactly zero.
 
-    Raises DivergenceDetected (carrying the partial trace) if the gradient or
-    the training error becomes non-finite, and ValueError if a step leaves
-    non-finite parameters.
+    Raises DivergenceDetected (carrying the partial trace) if the gradient,
+    the parameters after a step or the training error become non-finite.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -250,7 +249,7 @@ def train(
     best_epoch = 0
     stale = 0
     # overflow here is not an error condition: it surfaces as a non-finite
-    # gradient or training error and raises DivergenceDetected below
+    # gradient, step or training error and raises DivergenceDetected below
     with np.errstate(over="ignore", invalid="ignore"):
         # the gradient pass at each epoch's stepped parameters also gives that
         # epoch's training error, and its gradient drives the next epoch's step
@@ -260,7 +259,12 @@ def train(
                 raise DivergenceDetected(
                     f"gradient became non-finite at epoch {epoch}", trace=trace
                 )
-            net, velocity = gd_step(net, velocity, grad, lr, momentum)
+            try:
+                net, velocity = gd_step(net, velocity, grad, lr, momentum)
+            except ValueError:  # the step overflowed the parameters
+                raise DivergenceDetected(
+                    f"parameters became non-finite at epoch {epoch}", trace=trace
+                ) from None
             grad = backprop_gradient(net, inputs, targets)
             train_err = grad.loss
             if not math.isfinite(train_err):

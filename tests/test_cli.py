@@ -13,8 +13,6 @@ from ssaforecast.mlp import network_from_dict
 from ssaforecast.forecast import one_step_predict
 from ssaforecast.series import load_csv, standardize
 
-GOLDEN_FILES = ("summary.json", "network.json", "trace.csv", "forecast.csv", "forecast.json")
-
 
 @pytest.fixture
 def workdir(tmp_path, fixtures_dir, monkeypatch):
@@ -136,6 +134,13 @@ def test_decompose_outputs(workdir, capsys):
     plot_lines = read("out/singular_spectrum.csv").decode().splitlines()
     assert plot_lines[0] == "k,log10_eigenvalue,clamped"
     assert len(plot_lines) == 9
+
+
+def test_decompose_golden_files(workdir, fixtures_dir, monkeypatch):
+    outputs = run_twice(workdir, monkeypatch, ["decompose", "--config", "golden_config.json"])
+    assert_golden_files(
+        outputs, fixtures_dir, ("spectrum.json", "components.csv", "singular_spectrum.csv")
+    )
 
 
 def test_decompose_window_one(workdir):
