@@ -261,11 +261,10 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
         "medians": {},
         "config_echo": echo,
     }
-    try:
-        curve = cur.error_vs_pc_curve(
-            std, config.window, config.embedding, config.hidden_units, params,
-            config.seeds[0], config.validation_fraction,
-        )
+
+    def write_curve(curve: cur.PcCurve | None) -> None:
+        if curve is None:
+            return
         write_csv(
             out / "curve.csv",
             ["p", "train_mse", "validation_mse", "baseline_mse"],
@@ -280,15 +279,20 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
             "baseline_train_mse": curve.baseline_train_mse,
             "baseline_validation_mse": curve.baseline_validation_mse,
         }
+
+    try:
         comparison = cur.compare_curriculum_baseline(
             raw.values, config.window, config.embedding, config.hidden_units, params,
             config.pc_step, config.seeds, config.compare_horizon, config.validation_fraction,
+            curve_series=std,
         )
     except RuntimeFailure as exc:
+        write_curve(getattr(exc, "curve", None))
         document["per_seed"] = [record(r) for r in getattr(exc, "completed_seeds", ())]
         document["error"] = str(exc)
         write_json(out / "comparison.json", document)
         raise
+    write_curve(comparison.curve)
     document["per_seed"] = [record(r) for r in comparison.per_seed]
     medians = {
         "curriculum_validation_mse": comparison.median("curriculum_validation_mse"),

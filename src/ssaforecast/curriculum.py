@@ -6,12 +6,13 @@ the comparison arm."""
 
 from __future__ import annotations
 
+import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadStep, DivergenceDetected, RuntimeFailure, ScheduleInvalid
+from .errors import BadHorizon, BadStep, DivergenceDetected, RuntimeFailure, ScheduleInvalid
 from .forecast import evaluate, multi_step_predict
 from .mlp import Network, TraceEntry, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
@@ -274,10 +275,141 @@ class SeedComparison:
 class ComparisonResult:
     per_seed: tuple[SeedComparison, ...]
     horizon: int
-    records: dict = field(default_factory=dict)
+    curve: PcCurve | None = None
 
     def median(self, attr: str) -> float:
         return statistics.median(getattr(r, attr) for r in self.per_seed)
+
+
+def assign_lanes(costs, lanes: int) -> list[list[int]]:
+    """Spread task indices over `lanes` lanes: longest task first, each onto
+    the least-loaded lane (the lowest-numbered one on a tie).  Each lane
+    lists its tasks in index order, the order they would run serially."""
+    loads = [0] * lanes
+    assigned: list[list[int]] = [[] for _ in range(lanes)]
+    for task in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        lane = min(range(lanes), key=loads.__getitem__)
+        assigned[lane].append(task)
+        loads[lane] += costs[task]
+    return [sorted(lane) for lane in assigned]
+
+
+def _run_lane(tasks, lane):
+    """Yield the outcome (result or exception) of each of the lane's tasks
+    and stop after the first exception: every later task of the lane comes
+    after it in the serial order, so no caller needs its outcome."""
+    for index in lane:
+        fn, args = tasks[index]
+        try:
+            outcome = fn(*args)
+        except Exception as exc:
+            outcome = exc
+        yield outcome
+        if isinstance(outcome, Exception):
+            return
+
+
+def _lane_worker(tasks, lane, conn) -> None:
+    for outcome in _run_lane(tasks, lane):
+        conn.send(outcome)
+    conn.close()
+
+
+def _receive(conn, proc):
+    """The next outcome a worker lane sends; a worker that died is a
+    RuntimeFailure of the task it was running."""
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        return RuntimeFailure(
+            f"compare worker process exited with code {proc.exitcode} before finishing"
+        )
+
+
+def run_side_by_side(tasks, costs) -> dict[int, object]:
+    """Run independent `(fn, args)` tasks on up to one lane per CPU this
+    process may use, and map each task index to its result or exception.
+
+    Lane 0 runs in this process; every other lane runs in one forked worker,
+    which inherits the tasks, so nothing but outcomes is pickled.  One lane
+    (one CPU, one task, or no fork) is the serial run.  A task's exception,
+    whatever its type, is its outcome, so failures do not depend on the lane
+    a task ran in.  The serial run stops at its first failure, so a task
+    after a failed one may get no outcome, and its worker is stopped early.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes = assign_lanes(costs, max(1, min(cpus, len(tasks))))
+    workers = []
+    try:
+        if len(lanes) > 1:
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+            else:
+                lanes = assign_lanes(costs, 1)
+            for lane in lanes[1:]:
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(target=_lane_worker, args=(tasks, lane, writer))
+                proc.start()
+                # the next worker must not inherit this write end, or EOF
+                # would never arrive if this one died
+                writer.close()
+                workers.append((lane, reader, proc))
+        outcomes = dict(zip(lanes[0], _run_lane(tasks, lanes[0])))
+        for lane, reader, proc in workers:
+            for index in lane:
+                if any(isinstance(outcomes[i], Exception) for i in outcomes if i < index):
+                    break
+                outcomes[index] = _receive(reader, proc)
+    finally:
+        for _, reader, proc in workers:
+            # a worker still running holds only tasks whose outcome is not needed
+            proc.terminate()
+            proc.join()
+            reader.close()
+    return outcomes
+
+
+def _compare_seed(
+    std: StandardizedSeries,
+    components: ComponentSet,
+    holdout: np.ndarray,
+    embedding: int,
+    schedule: CurriculumSchedule,
+    hidden: int,
+    params: StageParams,
+    seed: int,
+    fraction: float,
+) -> SeedComparison:
+    """Both arms of one seed: curriculum, then a baseline with its budget."""
+    cur = curriculum_train(
+        std, components, embedding, schedule, hidden, seed, fraction, patience=None,
+        pin_split=True,
+    )
+    base_state, base_trace = baseline_train(
+        std, embedding, hidden, cur.total_epochs, params.lr, params.momentum,
+        seed, fraction, patience=None,
+    )
+    seed_window = std.values[-embedding:]
+    cur_pred = destandardize(
+        multi_step_predict(cur.final_state.network, seed_window, holdout.size),
+        std.mean, std.scale,
+    )
+    base_pred = destandardize(
+        multi_step_predict(base_state.network, seed_window, holdout.size),
+        std.mean, std.scale,
+    )
+    return SeedComparison(
+        seed=seed,
+        curriculum_validation_mse=cur.final_state.validation_mse,
+        baseline_validation_mse=base_state.validation_mse,
+        curriculum_forecast_rmse=evaluate(cur_pred, holdout).rmse,
+        baseline_forecast_rmse=evaluate(base_pred, holdout).rmse,
+        curriculum_epochs=cur.total_epochs,
+        baseline_epochs=len(base_trace),
+    )
 
 
 def compare_curriculum_baseline(
@@ -290,6 +422,7 @@ def compare_curriculum_baseline(
     seeds,
     horizon: int,
     fraction: float = DEFAULT_VALIDATION_FRACTION,
+    curve_series: StandardizedSeries | None = None,
 ) -> ComparisonResult:
     """Paired-seed comparison on one series (original units).
 
@@ -300,48 +433,51 @@ def compare_curriculum_baseline(
     across curriculum stages), and the baseline budget equals the epochs the
     curriculum consumed, so the reported validation errors differ only
     through the training path.
+
+    With `curve_series`, the error-vs-p curve of that series (run seed: the
+    first seed) is computed too and returned as `curve`.  The curve and the
+    seeds are independent tasks and run side by side (`run_side_by_side`);
+    the results do not depend on the number of lanes.  A failure is raised
+    as the serial run (curve, then seeds in order) meets it first, carrying
+    `completed_seeds` (the seeds before it) and `curve` (None unless the
+    curve finished).
     """
     values = np.asarray(values, dtype=np.float64)
     if horizon < 1 or horizon >= values.size - embedding - 1:
-        raise ValueError("holdout horizon leaves too little data for training")
+        raise BadHorizon(
+            f"holdout horizon {horizon} leaves too little of the {values.size} samples "
+            f"for training with embedding {embedding}"
+        )
+    seeds = list(seeds)
     fit = values[: values.size - horizon]
     holdout = values[values.size - horizon :]
     std = standardize(fit)
     schedule = default_schedule(window, pc_step, params)
     _, _, components = decompose(std, window)
+    tasks = [
+        (_compare_seed, (std, components, holdout, embedding, schedule, hidden, params, seed,
+                         fraction))
+        for seed in seeds
+    ]
+    # each task's epoch budget: both arms of a seed, or the curve's sweep
+    # plus its equal-budget baseline
+    costs = [2 * len(schedule.stages) * params.epochs] * len(tasks)
+    if curve_series is not None:
+        tasks.insert(0, (error_vs_pc_curve, (curve_series, window, embedding, hidden, params,
+                                             seeds[0], fraction)))
+        costs.insert(0, 2 * (window - 1) * params.epochs)
+    outcomes = run_side_by_side(tasks, costs)
+    curve = None
     results: list[SeedComparison] = []
-    for seed in seeds:
-        try:
-            cur = curriculum_train(
-                std, components, embedding, schedule, hidden, seed, fraction, patience=None,
-                pin_split=True,
-            )
-            base_state, base_trace = baseline_train(
-                std, embedding, hidden, cur.total_epochs, params.lr, params.momentum,
-                seed, fraction, patience=None,
-            )
-            seed_window = std.values[-embedding:]
-            cur_pred = destandardize(
-                multi_step_predict(cur.final_state.network, seed_window, horizon),
-                std.mean, std.scale,
-            )
-            base_pred = destandardize(
-                multi_step_predict(base_state.network, seed_window, horizon),
-                std.mean, std.scale,
-            )
-        except RuntimeFailure as exc:
-            # callers can still report every seed that finished
-            exc.completed_seeds = tuple(results)
-            raise
-        results.append(
-            SeedComparison(
-                seed=seed,
-                curriculum_validation_mse=cur.final_state.validation_mse,
-                baseline_validation_mse=base_state.validation_mse,
-                curriculum_forecast_rmse=evaluate(cur_pred, holdout).rmse,
-                baseline_forecast_rmse=evaluate(base_pred, holdout).rmse,
-                curriculum_epochs=cur.total_epochs,
-                baseline_epochs=len(base_trace),
-            )
-        )
-    return ComparisonResult(per_seed=tuple(results), horizon=horizon)
+    for index in range(len(tasks)):
+        outcome = outcomes[index]
+        if isinstance(outcome, Exception):
+            # callers can still report the curve and every seed before it
+            outcome.completed_seeds = tuple(results)
+            outcome.curve = curve
+            raise outcome
+        if isinstance(outcome, PcCurve):
+            curve = outcome
+        else:
+            results.append(outcome)
+    return ComparisonResult(per_seed=tuple(results), horizon=horizon, curve=curve)

@@ -9,8 +9,20 @@ numerical failures discovered while computing (CLI exit 1).
 from __future__ import annotations
 
 
+def _restore(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class SsaForecastError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # pickle (compare sends errors back from its worker processes) must
+        # not re-run __init__: several subclasses build their message from
+        # other arguments, so __init__(message) would nest it or fail
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class ValidationError(SsaForecastError):
@@ -76,6 +88,10 @@ class BadStep(ValidationError):
 
 
 class ScheduleInvalid(ValidationError):
+    pass
+
+
+class BadHorizon(ValidationError):
     pass
 
 

@@ -1,3 +1,4 @@
+import shutil
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,15 @@ def fixtures_dir() -> Path:
 @pytest.fixture
 def repo_root() -> Path:
     return REPO_ROOT
+
+
+@pytest.fixture
+def workdir(tmp_path, fixtures_dir, monkeypatch):
+    """Fresh directory holding the tiny fixture + golden config, as cwd."""
+    shutil.copy(fixtures_dir / "tiny_series.csv", tmp_path / "tiny_series.csv")
+    shutil.copy(fixtures_dir / "golden_config.json", tmp_path / "golden_config.json")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 @pytest.fixture

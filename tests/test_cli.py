@@ -14,15 +14,6 @@ from ssaforecast.forecast import one_step_predict
 from ssaforecast.series import load_csv, standardize
 
 
-@pytest.fixture
-def workdir(tmp_path, fixtures_dir, monkeypatch):
-    """Fresh directory holding the tiny fixture + golden config, as cwd."""
-    shutil.copy(fixtures_dir / "tiny_series.csv", tmp_path / "tiny_series.csv")
-    shutil.copy(fixtures_dir / "golden_config.json", tmp_path / "golden_config.json")
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
 def read(path) -> bytes:
     return Path(path).read_bytes()
 
@@ -98,7 +89,7 @@ def run_twice(workdir, monkeypatch, *argvs):
     """Run the CLI commands in `workdir`, then again in a fresh directory with
     the same inputs; assert both exit 0 and return the two output directories."""
     rerun = workdir / "rerun"
-    rerun.mkdir()
+    rerun.mkdir(exist_ok=True)
     for name in ("tiny_series.csv", "golden_config.json"):
         shutil.copy(workdir / name, rerun / name)
     outputs = []
@@ -242,7 +233,11 @@ def test_unknown_override_key_exit_2(workdir, capsys):
 # -- predict ---------------------------------------------------------------------
 
 def test_predict_golden_files(workdir, fixtures_dir, monkeypatch):
-    outputs = run_twice(workdir, monkeypatch, ["train", "--config", "golden_config.json"],
+    # predict alone, on the committed network (the train golden covers train)
+    for cwd in (workdir, workdir / "rerun"):
+        (cwd / "out").mkdir(parents=True)
+        shutil.copy(fixtures_dir / "golden" / "network.json", cwd / "out" / "network.json")
+    outputs = run_twice(workdir, monkeypatch,
                         ["predict", "--config", "golden_config.json",
                          "--network", "out/network.json"])
     assert_golden_files(outputs, fixtures_dir, ("forecast.csv", "forecast.json"))
@@ -352,6 +347,15 @@ def test_non_finite_network_exit_1(workdir, capsys, bad):
     err = capsys.readouterr().err
     assert "LengthMismatch" in err and "finite" in err
     assert not Path("out/forecast.csv").exists()
+
+
+def test_compare_oversized_horizon_exit_2_before_training(workdir, capsys):
+    code = main(["compare", "--config", "golden_config.json", "--set", "seeds=0",
+                 "--set", "compare_horizon=115"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadHorizon: ") and "Traceback" not in err
+    assert not Path("out/curve.csv").exists() and not Path("out/comparison.json").exists()
 
 
 def test_compare_curve_divergence_writes_error_document(workdir, capsys):

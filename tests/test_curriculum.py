@@ -12,7 +12,7 @@ from ssaforecast.curriculum import (
     default_schedule,
     error_vs_pc_curve,
 )
-from ssaforecast.errors import BadStep, DivergenceDetected, ScheduleInvalid
+from ssaforecast.errors import BadHorizon, BadStep, DivergenceDetected, ScheduleInvalid
 from ssaforecast.mlp import init_network, train
 from ssaforecast.series import build_embedding, split_validation, standardize
 from ssaforecast.ssa import decompose, partial_reconstruction
@@ -225,7 +225,7 @@ def test_comparison_deterministic():
 
 def test_comparison_rejects_oversized_horizon():
     values = two_sine_benchmark(100, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadHorizon):
         compare_curriculum_baseline(
             values, 12, 5, 6, PARAMS, 4, seeds=[0], horizon=95
         )
