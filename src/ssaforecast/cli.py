@@ -259,6 +259,7 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
         "compare_horizon": config.compare_horizon,
         "per_seed": [],
         "medians": {},
+        "paired": {},
         "config_echo": echo,
     }
 
@@ -301,6 +302,9 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
         "baseline_forecast_rmse": comparison.median("baseline_forecast_rmse"),
     }
     document["medians"] = medians
+    document["paired"] = {
+        metric: comparison.paired(metric) for metric in ("validation_mse", "forecast_rmse")
+    }
     write_json(out / "comparison.json", document)
     print(
         "medians: curriculum_val={curriculum_validation_mse:.6g} "

@@ -6,6 +6,7 @@ the comparison arm."""
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from dataclasses import dataclass
@@ -279,6 +280,33 @@ class ComparisonResult:
 
     def median(self, attr: str) -> float:
         return statistics.median(getattr(r, attr) for r in self.per_seed)
+
+    def paired(self, metric: str) -> dict:
+        """Curriculum against baseline on `metric` ("validation_mse" or
+        "forecast_rmse"), seed by seed: the seeds each arm wins (lower is a
+        win), the ties, the exact two-sided sign-test p-value over the untied
+        seeds and the median paired difference (curriculum minus baseline)."""
+        diffs = [
+            getattr(r, f"curriculum_{metric}") - getattr(r, f"baseline_{metric}")
+            for r in self.per_seed
+        ]
+        wins = sum(d < 0.0 for d in diffs)
+        losses = sum(d > 0.0 for d in diffs)
+        return {
+            "curriculum_wins": wins,
+            "baseline_wins": losses,
+            "ties": len(diffs) - wins - losses,
+            "sign_test_p": sign_test_p(wins, losses),
+            "median_difference": statistics.median(diffs),
+        }
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of `wins` against `losses` (ties
+    already excluded): twice the smaller binomial(n, 1/2) tail, capped at 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def assign_lanes(costs, lanes: int) -> list[list[int]]:

@@ -7,6 +7,7 @@ Criteria:
  3. pipeline equals the naive-loop oracle, small sizes       (< 5 s)
  4. backprop equals central finite differences, 100 cases    (< 10 s)
  5. curriculum arm beats/holds the raw baseline (benchmark)  (< 5 min)
+    plus a non-gating line: the same rule on held-out seeds 10-49
  6. sunspot CSV end-to-end decompose/train/predict           (< 10 min)
  7. criteria 5 and 6 reruns are byte-identical
  8. documented exit codes for the five named error paths
@@ -184,28 +185,32 @@ def _twin_workdirs(tmp_path_factory, label: str, data_file: str, data_name: str,
     return dirs
 
 
+BENCHMARK_COMPARE_CONFIG = {
+    "input_csv": "series.csv",
+    "window": 35,
+    "embedding": 5,
+    "hidden_units": 10,
+    "pc_step": 2,
+    "stage_epochs": 600,
+    "stage_lr": 0.05,
+    "stage_momentum": 0.9,
+    "patience": 0,
+    "validation_fraction": 0.10,
+    "seed": 0,
+    "seeds": list(range(10)),
+    "compare_horizon": 50,
+    "output_dir": "out",
+}
+HELD_OUT_SEEDS = list(range(10, 50))
+
+
 @pytest.fixture(scope="module")
 def benchmark_compare(tmp_path_factory):
     """cmd_compare on the committed benchmark, twice (criteria 5 and 7)."""
-    config = {
-        "input_csv": "series.csv",
-        "window": 35,
-        "embedding": 5,
-        "hidden_units": 10,
-        "pc_step": 2,
-        "stage_epochs": 600,
-        "stage_lr": 0.05,
-        "stage_momentum": 0.9,
-        "patience": 0,
-        "validation_fraction": 0.10,
-        "seed": 0,
-        "seeds": list(range(10)),
-        "compare_horizon": 50,
-        "output_dir": "out",
-    }
     dir_a, dir_b = _twin_workdirs(
         tmp_path_factory, "bench_compare",
-        REPO / "tests" / "fixtures" / "benchmark_two_sine.csv", "series.csv", config,
+        REPO / "tests" / "fixtures" / "benchmark_two_sine.csv", "series.csv",
+        BENCHMARK_COMPARE_CONFIG,
     )
     import os
 
@@ -223,23 +228,49 @@ def benchmark_compare(tmp_path_factory):
     return {"dirs": (dir_a, dir_b), "codes": codes, "elapsed": elapsed}
 
 
+def _criterion_5_rule(doc) -> tuple[bool, bool, str]:
+    """(validation rule met, RMSE rule met, the medians and paired counts)."""
+    med = doc["medians"]
+    val_ok = med["curriculum_validation_mse"] <= med["baseline_validation_mse"]
+    rmse_ok = med["curriculum_forecast_rmse"] <= 1.1 * med["baseline_forecast_rmse"]
+    seeds = len(doc["per_seed"])
+    val, rmse = doc["paired"]["validation_mse"], doc["paired"]["forecast_rmse"]
+    detail = (
+        f"{seeds} paired seeds, equal budgets: median val MSE "
+        f"{med['curriculum_validation_mse']:.4f} <= {med['baseline_validation_mse']:.4f}, "
+        f"median 50-step RMSE {med['curriculum_forecast_rmse']:.4f} <= "
+        f"1.1 x {med['baseline_forecast_rmse']:.4f}; curriculum wins val "
+        f"{val['curriculum_wins']}/{seeds} (sign test p {val['sign_test_p']:.2f}), "
+        f"RMSE {rmse['curriculum_wins']}/{seeds} (p {rmse['sign_test_p']:.2f})"
+    )
+    return val_ok, rmse_ok, detail
+
+
 def test_criterion_5_curriculum_benefit(benchmark_compare):
     code = benchmark_compare["codes"][0]
     elapsed = benchmark_compare["elapsed"]
     doc = json.loads((benchmark_compare["dirs"][0] / "out" / "comparison.json").read_text())
-    med = doc["medians"]
-    val_ok = med["curriculum_validation_mse"] <= med["baseline_validation_mse"]
-    rmse_ok = med["curriculum_forecast_rmse"] <= 1.1 * med["baseline_forecast_rmse"]
+    val_ok, rmse_ok, detail = _criterion_5_rule(doc)
     budgets_ok = all(r["curriculum_epochs"] == r["baseline_epochs"] for r in doc["per_seed"])
     ok = code == 0 and val_ok and rmse_ok and budgets_ok and len(doc["per_seed"]) == 10 and elapsed < 300.0
-    report(
-        5,
-        ok,
-        "10 paired seeds, equal budgets: median val MSE "
-        f"{med['curriculum_validation_mse']:.4f} <= {med['baseline_validation_mse']:.4f}, "
-        f"median 50-step RMSE {med['curriculum_forecast_rmse']:.4f} <= "
-        f"1.1 x {med['baseline_forecast_rmse']:.4f}, {elapsed:.0f}s (< 300s)",
-    )
+    report(5, ok, f"{detail}, {elapsed:.0f}s (< 300s)")
+
+
+def test_criterion_5_held_out_seeds(tmp_path, monkeypatch):
+    """Criterion 5's rule on seeds 10-49, which it never gates on. The line
+    is printed, not asserted: a 10-seed median passes or fails partly by
+    chance, and this shows how far the gated result carries."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(REPO / "tests" / "fixtures" / "benchmark_two_sine.csv", "series.csv")
+    Path("run.json").write_text(json.dumps({**BENCHMARK_COMPARE_CONFIG, "seeds": HELD_OUT_SEEDS}))
+    t0 = time.perf_counter()
+    assert main(["compare", "--config", "run.json"]) == 0
+    elapsed = time.perf_counter() - t0
+    doc = json.loads(Path("out/comparison.json").read_text())
+    assert [r["seed"] for r in doc["per_seed"]] == HELD_OUT_SEEDS
+    val_ok, rmse_ok, detail = _criterion_5_rule(doc)
+    verdict = "would pass" if val_ok and rmse_ok else "would fail"
+    print(f"\nACCEPTANCE 5 held-out seeds 10-49 (not gating) {verdict} - {detail}, {elapsed:.0f}s")
 
 
 @pytest.fixture(scope="module")

@@ -288,6 +288,11 @@ def test_compare_singleton_seed(workdir):
     assert doc["medians"]["curriculum_validation_mse"] == rec["curriculum_validation_mse"]
     assert doc["medians"]["baseline_forecast_rmse"] == rec["baseline_forecast_rmse"]
     assert rec["curriculum_epochs"] == rec["baseline_epochs"]
+    paired = doc["paired"]["forecast_rmse"]
+    assert paired["curriculum_wins"] + paired["baseline_wins"] + paired["ties"] == 1
+    assert paired["median_difference"] == (
+        rec["curriculum_forecast_rmse"] - rec["baseline_forecast_rmse"])
+    assert set(doc["paired"]) == {"validation_mse", "forecast_rmse"}
     curve_rows = read("out/curve.csv").decode().splitlines()
     assert curve_rows[0] == "p,train_mse,validation_mse,baseline_mse"
     assert len(curve_rows) - 1 == 8 - 1  # window - 1 points
@@ -366,7 +371,7 @@ def test_compare_curve_divergence_writes_error_document(workdir, capsys):
     doc = json.loads(read("out/comparison.json"))
     assert doc["error"].startswith("training error became non-finite at epoch")
     assert doc["curve"] is None
-    assert doc["per_seed"] == [] and doc["medians"] == {}
+    assert doc["per_seed"] == [] and doc["medians"] == {} and doc["paired"] == {}
     assert doc["config_echo"]["stage_lr"] == 1000000.0
     assert not Path("out/curve.csv").exists()
 

@@ -3,7 +3,9 @@ import pytest
 
 from ssaforecast.benchmark import two_sine_benchmark
 from ssaforecast.curriculum import (
+    ComparisonResult,
     CurriculumSchedule,
+    SeedComparison,
     StageParams,
     TrainingStage,
     baseline_train,
@@ -11,6 +13,7 @@ from ssaforecast.curriculum import (
     curriculum_train,
     default_schedule,
     error_vs_pc_curve,
+    sign_test_p,
 )
 from ssaforecast.errors import BadHorizon, BadStep, DivergenceDetected, ScheduleInvalid
 from ssaforecast.mlp import init_network, train
@@ -221,6 +224,38 @@ def test_comparison_deterministic():
         values, 12, 5, 6, StageParams(30, 0.05, 0.9), 4, seeds=[5], horizon=25
     )
     assert a.per_seed == b.per_seed
+
+
+@pytest.mark.parametrize("wins, losses, p", [
+    (7, 3, 352 / 1024),  # 2 * (1 + 10 + 45 + 120) / 2**10
+    (3, 7, 352 / 1024),
+    (10, 0, 2 / 1024),
+    (20, 20, 1.0),
+    (0, 0, 1.0),
+    (1, 0, 1.0),
+])
+def test_sign_test_p_values(wins, losses, p):
+    assert sign_test_p(wins, losses) == p
+
+
+def test_paired_summary_counts_wins_ties_and_median_difference():
+    def record(seed, cur_val, base_val):
+        return SeedComparison(seed, cur_val, base_val, 1.0, 2.0, 10, 10)
+
+    res = ComparisonResult(
+        per_seed=(record(0, 1.0, 2.0), record(1, 3.0, 3.0), record(2, 5.0, 4.0),
+                  record(3, 0.5, 1.0)),
+        horizon=5,
+    )
+    assert res.paired("validation_mse") == {
+        "curriculum_wins": 2,
+        "baseline_wins": 1,
+        "ties": 1,
+        "sign_test_p": 1.0,
+        "median_difference": -0.25,  # median of -1, 0, 1, -0.5
+    }
+    assert res.paired("forecast_rmse")["curriculum_wins"] == 4
+    assert res.paired("forecast_rmse")["sign_test_p"] == 2 / 16
 
 
 def test_comparison_rejects_oversized_horizon():
