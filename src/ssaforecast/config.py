@@ -8,31 +8,11 @@ echo embedded in output files.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import BadFraction, ConfigError
-
-_SCHEMA: dict[str, type] = {
-    "input_csv": str,
-    "time_column": str,
-    "value_column": str,
-    "window": int,
-    "embedding": int,
-    "hidden_units": int,
-    "pc_step": int,
-    "stage_epochs": int,
-    "stage_lr": float,
-    "stage_momentum": float,
-    "patience": int,
-    "validation_fraction": float,
-    "seed": int,
-    "horizon": int,
-    "seeds": list,
-    "compare_horizon": int,
-    "output_dir": str,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -92,6 +72,14 @@ class RunConfig:
         out["seeds"] = list(self.seeds)
         out["overrides"] = dict(overrides or {})
         return out
+
+
+# each key's expected JSON type: the field's type, with the seeds tuple
+# read as a list
+_SCHEMA: dict[str, type] = {
+    name: list if typing.get_origin(kind) is tuple else kind
+    for name, kind in typing.get_type_hints(RunConfig).items()
+}
 
 
 def _coerce(key: str, value, expected: type):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ssaforecast.config import RunConfig, load_config
+from ssaforecast.config import _SCHEMA, RunConfig, load_config
 from ssaforecast.errors import BadFraction, ConfigError
 from ssaforecast.jsonio import dumps, format_float, write_csv, write_json
 
@@ -77,6 +77,29 @@ def test_type_checked(tmp_path):
         load_config(write_config(tmp_path, {"window": "many"}))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"seeds": [1, "two"]}))
+
+
+def test_schema_is_every_field_with_its_json_type():
+    assert _SCHEMA == {
+        "input_csv": str, "time_column": str, "value_column": str, "window": int,
+        "embedding": int, "hidden_units": int, "pc_step": int, "stage_epochs": int,
+        "stage_lr": float, "stage_momentum": float, "patience": int,
+        "validation_fraction": float, "seed": int, "horizon": int, "seeds": list,
+        "compare_horizon": int, "output_dir": str,
+    }
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"window": "many"}, "key 'window' must be of type int"),
+    ({"stage_lr": "fast"}, "key 'stage_lr' must be of type float"),
+    ({"output_dir": 3}, "key 'output_dir' must be of type str"),
+    ({"seeds": [1, "two"]}, "key 'seeds' must be a list of integers"),
+    ({"seeds": 4}, "key 'seeds' must be a list of integers"),
+])
+def test_type_error_messages(tmp_path, payload, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, payload))
+    assert str(err.value) == message
 
 
 def test_int_promotes_to_float(tmp_path):
