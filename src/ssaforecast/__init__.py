@@ -34,8 +34,7 @@ from .ssa import (
     lag_correlation,
     partial_reconstruction,
     principal_components,
-    reconstruct_component,
-    singular_spectrum_plot_data,
+    singular_spectrum_rows,
 )
 
 __version__ = "0.1.0"

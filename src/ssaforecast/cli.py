@@ -82,11 +82,10 @@ def cmd_decompose(config: RunConfig, echo: dict) -> int:
     )
     header = ["series"] + [f"rc_{k}" for k in range(1, config.window + 1)]
     write_csv(out / "components.csv", header, np.column_stack([std.values, comps.rcs]))
-    plot = ssa.singular_spectrum_plot_data(spectrum)
     write_csv(
         out / "singular_spectrum.csv",
         ["k", "log10_eigenvalue", "clamped"],
-        ((p.rank, p.log10_eigenvalue, p.clamped) for p in plot),
+        ssa.singular_spectrum_rows(spectrum),
     )
     print(f"completeness: max |sum(RC) - series| = {comps.completeness_error:.3e}")
     return 0

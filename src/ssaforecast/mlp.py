@@ -31,33 +31,39 @@ _ARRAYS = ("hidden_weights", "hidden_biases", "output_weights", "output_bias")
 @dataclass(frozen=True)
 class _Parameters:
     """The four parameter arrays of an (H, m) network, held as views of one
-    flat float64 vector (hidden weights row-major, hidden biases, output
-    weights, output bias) so that an update is one numpy call per operation."""
+    flat float64 vector so that an update is one numpy call per operation.
+    The vector starts with the hidden layer as one row-major (H, m+1) matrix
+    [W | b] (`hidden_layer`), which multiplies inputs with a ones column
+    appended, then the output weights and the output bias."""
 
     hidden_weights: np.ndarray  # (H, m)
     hidden_biases: np.ndarray  # (H,)
     output_weights: np.ndarray  # (1, H)
     output_bias: np.ndarray  # (1,)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    hidden_layer: np.ndarray = field(init=False, repr=False, compare=False)  # (H, m+1)
 
     def __post_init__(self):
-        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAYS]
-        h, m = arrays[0].shape
-        if arrays[1].shape != (h,) or arrays[2].shape != (1, h):
+        hw, hb, ow, ob = (np.asarray(getattr(self, name), dtype=np.float64) for name in _ARRAYS)
+        h, m = hw.shape
+        if hb.shape != (h,) or ow.shape != (1, h):
             raise DimensionMismatch("layer shapes are inconsistent")
-        if arrays[3].shape != (1,):
+        if ob.shape != (1,):
             raise DimensionMismatch("output bias must hold exactly one value")
-        self._bind(np.concatenate([a.ravel() for a in arrays]), h, m)
+        flat = np.concatenate([np.column_stack([hw, hb]).ravel(), ow.ravel(), ob])
+        self._bind(flat, h, m)
 
     def _bind(self, flat: np.ndarray, h: int, m: int, **fields) -> None:
-        k = h * m
+        k = h * (m + 1)
+        layer = flat[:k].reshape(h, m + 1)
         # frozen: set the fields the way the dataclass __init__ would
         self.__dict__.update(
             flat=flat,
-            hidden_weights=flat[:k].reshape(h, m),
-            hidden_biases=flat[k : k + h],
-            output_weights=flat[k + h : k + 2 * h].reshape(1, h),
-            output_bias=flat[k + 2 * h :],
+            hidden_layer=layer,
+            hidden_weights=layer[:, :m],
+            hidden_biases=layer[:, m],
+            output_weights=flat[k : k + h].reshape(1, h),
+            output_bias=flat[k + h :],
             **fields,
         )
         self._check()
@@ -118,12 +124,21 @@ def init_network(input_dim: int, hidden_dim: int, seed: int) -> Network:
     return Network(hw, np.zeros(hidden_dim), ow, np.zeros(1))
 
 
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """The (n, m) batch with a ones column appended, to meet [W | b]."""
+    x1 = np.empty((x.shape[0], x.shape[1] + 1))
+    x1[:, :-1] = x
+    x1[:, -1] = 1.0
+    return x1
+
+
 def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Predictions for a (n, m) batch."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionMismatch(f"batch shape {x.shape} incompatible with input_dim {net.input_dim}")
-    hidden = np.tanh(x @ net.hidden_weights.T + net.hidden_biases)
+    hidden = _with_ones(x) @ net.hidden_layer.T
+    np.tanh(hidden, out=hidden)
     return hidden @ net.output_weights[0] + net.output_bias[0]
 
 
@@ -161,10 +176,10 @@ def backprop_gradient(net: Network, inputs, targets) -> Gradient:
     if x.shape[1] != net.input_dim or t.shape != (x.shape[0],):
         raise DimensionMismatch("batch shapes inconsistent with the network")
     n = x.shape[0]
-    # in-place steps: the same arithmetic as z = x W^T + b, h = tanh(z),
-    # pred = h w_out + b_out, without the temporaries
-    h = x @ net.hidden_weights.T
-    h += net.hidden_biases
+    # in-place steps: z = [x|1] [W|b]^T, h = tanh(z), pred = h w_out + b_out,
+    # without the temporaries
+    x1 = _with_ones(x)
+    h = x1 @ net.hidden_layer.T
     np.tanh(h, out=h)  # (n, H)
     err = h @ net.output_weights[0]
     err += net.output_bias[0]
@@ -182,8 +197,8 @@ def backprop_gradient(net: Network, inputs, targets) -> Gradient:
     h *= h
     np.subtract(1.0, h, out=h)
     dz *= h
-    np.matmul(dz.T, x, out=grad.hidden_weights)
-    dz.sum(axis=0, out=grad.hidden_biases)
+    # the ones column of [x|1] makes the last column the hidden-bias gradient
+    np.matmul(dz.T, x1, out=grad.hidden_layer)
     return grad
 
 

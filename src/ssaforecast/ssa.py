@@ -27,16 +27,12 @@ from .errors import (
 )
 from .series import _as_values
 
-# hand-rolled Jacobi below this size; LAPACK (numpy.linalg.eigh) above it,
-# where cyclic sweeps in Python are too slow for the property-test scale
-JACOBI_MAX_SIZE = 64
-_JACOBI_MAX_SWEEPS = 100
-
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 TRACE_RTOL = 1e-8
 COMPLETENESS_TOL = 1e-8
 LOG_EIGENVALUE_FLOOR = 1e-15
+SIGN_TIE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,59 +110,18 @@ def lag_correlation(series, window: int) -> ToeplitzCorrelation:
     return ToeplitzCorrelation(lags)
 
 
-def _jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on a symmetric matrix.
-
-    Sweeps until the off-diagonal Frobenius norm falls below 1e-12 times the
-    Frobenius norm of the input, or fails after the sweep cap.
-    """
-    a = matrix.astype(np.float64).copy()
-    m = a.shape[0]
-    v = np.eye(m)
-    threshold = 1e-12 * np.linalg.norm(matrix)
-    if m == 1:
-        return np.diag(a).copy(), v
-    off_diag = ~np.eye(m, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if np.linalg.norm(a[off_diag]) < threshold:
-            return np.diag(a).copy(), v
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                akp = a[:, p].copy()
-                akq = a[:, q].copy()
-                mask = np.ones(m, dtype=bool)
-                mask[[p, q]] = False
-                a[mask, p] = c * akp[mask] - s * akq[mask]
-                a[p, mask] = a[mask, p]
-                a[mask, q] = s * akp[mask] + c * akq[mask]
-                a[q, mask] = a[mask, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    raise ConvergenceFailure(
-        f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, k]))
-        if out[lead, k] < 0.0:
-            out[:, k] = -out[:, k]
-    return out
+    """Flip each column so its sign entry is positive: the first entry whose
+    magnitude is within a relative SIGN_TIE_RTOL of the column's largest.
+
+    Toeplitz eigenvectors are symmetric or antisymmetric, so the largest
+    magnitude is often attained twice, exactly; the tolerance keeps
+    last-ulp rounding from deciding which of the two sets the sign."""
+    mags = np.abs(vectors)
+    near_max = mags >= (1.0 - SIGN_TIE_RTOL) * mags.max(axis=0)
+    lead = np.argmax(near_max, axis=0)
+    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    return vectors * signs
 
 
 def eigendecompose(corr: ToeplitzCorrelation) -> SingularSpectrum:
@@ -174,10 +129,7 @@ def eigendecompose(corr: ToeplitzCorrelation) -> SingularSpectrum:
     descending (stable on ties), sign-normalized columns."""
     c = corr.matrix()
     m = corr.window
-    if m <= JACOBI_MAX_SIZE:
-        eigvals, eigvecs = _jacobi_eigh(c)
-    else:
-        eigvals, eigvecs = np.linalg.eigh(c)
+    eigvals, eigvecs = np.linalg.eigh(c)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = _fix_signs(eigvecs[:, order])
@@ -214,34 +166,15 @@ def _averaging_weights(n: int, window: int) -> np.ndarray:
     return np.minimum(np.minimum(t + 1, window), n - t).astype(np.float64)
 
 
-def reconstruct_component(pc_k, eigvec_k, n: int, window: int) -> np.ndarray:
-    """Map one principal component back to series length by averaging its
-    contributions along each diagonal of the trajectory matrix."""
-    pc = np.asarray(pc_k, dtype=np.float64)
-    ev = np.asarray(eigvec_k, dtype=np.float64)
-    if pc.size != n - window + 1:
-        raise DimensionMismatch(
-            f"principal component has length {pc.size}, expected {n - window + 1}"
-        )
-    if ev.size != window:
-        raise DimensionMismatch(f"eigenvector has length {ev.size}, expected {window}")
-    return np.convolve(pc, ev, mode="full") / _averaging_weights(n, window)
-
-
 def _reconstruct_all(pcs: np.ndarray, eigvecs: np.ndarray, n: int) -> np.ndarray:
-    """All reconstructed components at once: per-column full convolution of
-    pcs with eigvecs, FFT-batched when the window is large."""
+    """All reconstructed components at once: the full convolution of each pcs
+    column with its eigvecs column (length N), batched through one FFT of a
+    power-of-two length, divided by the averaging weights."""
     window = eigvecs.shape[0]
-    weights = _averaging_weights(n, window)
-    if window <= JACOBI_MAX_SIZE:
-        out = np.empty((n, window))
-        for k in range(window):
-            out[:, k] = np.convolve(pcs[:, k], eigvecs[:, k], mode="full")
-    else:
-        size = 1 << (n - 1).bit_length()
-        spec = np.fft.rfft(pcs, size, axis=0) * np.fft.rfft(eigvecs, size, axis=0)
-        out = np.fft.irfft(spec, size, axis=0)[:n]
-    return out / weights[:, None]
+    size = 1 << (n - 1).bit_length()
+    spec = np.fft.rfft(pcs, size, axis=0) * np.fft.rfft(eigvecs, size, axis=0)
+    out = np.fft.irfft(spec, size, axis=0)[:n]
+    return out / _averaging_weights(n, window)[:, None]
 
 
 def decompose(series, window: int) -> tuple[ToeplitzCorrelation, SingularSpectrum, ComponentSet]:
@@ -268,19 +201,9 @@ def partial_reconstruction(components: ComponentSet, count: int) -> np.ndarray:
     return components.rcs[:, :count].sum(axis=1)
 
 
-@dataclass(frozen=True)
-class SpectrumPlotPoint:
-    rank: int  # 1-based, descending-eigenvalue order
-    log10_eigenvalue: float
-    clamped: bool
-
-
-def singular_spectrum_plot_data(spectrum: SingularSpectrum) -> list[SpectrumPlotPoint]:
-    """log10 eigenvalues in descending order; non-positive (or sub-floor)
-    entries are clamped to 1e-15 and flagged."""
-    points = []
-    for k, lam in enumerate(spectrum.eigenvalues, start=1):
-        clamped = lam < LOG_EIGENVALUE_FLOOR
-        value = math.log10(max(lam, LOG_EIGENVALUE_FLOOR))
-        points.append(SpectrumPlotPoint(rank=k, log10_eigenvalue=value, clamped=bool(clamped)))
-    return points
+def singular_spectrum_rows(spectrum: SingularSpectrum):
+    """(rank, log10 eigenvalue, clamped) per eigenvalue, rank 1-based in
+    descending order; non-positive (or sub-floor) eigenvalues are clamped to
+    1e-15 and flagged."""
+    for rank, lam in enumerate(spectrum.eigenvalues, start=1):
+        yield rank, math.log10(max(lam, LOG_EIGENVALUE_FLOOR)), bool(lam < LOG_EIGENVALUE_FLOOR)

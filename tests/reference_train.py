@@ -3,11 +3,12 @@ one TrainState and Network rebuilt per epoch and three forward passes per
 epoch (one inside the gradient, one for the training error after the step,
 one for the validation error).
 
-The functions below are that loop, its update step, its gradient and its
-error measure verbatim, renamed with a ``reference_`` prefix and made to call
-one another.  They share only the parameter containers, forward_batch and the
-error classes with ssaforecast.mlp, so tests can check that the lean trainer
-reproduces this loop bitwise.
+The functions below are that loop, its update step, its gradient, its
+forward pass (hidden biases added after the matmul, not folded into it) and
+its error measure verbatim, renamed with a ``reference_`` prefix and made to
+call one another.  They share only the parameter containers and the error
+classes with ssaforecast.mlp, so tests can check the lean trainer against
+this loop.
 """
 
 import math
@@ -22,7 +23,16 @@ from ssaforecast.errors import (
     EmptyInput,
     LengthMismatch,
 )
-from ssaforecast.mlp import Gradient, Network, TraceEntry, TrainState, forward_batch
+from ssaforecast.mlp import Gradient, Network, TraceEntry, TrainState
+
+
+def reference_forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
+    """Predictions for a (n, m) batch."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise DimensionMismatch(f"batch shape {x.shape} incompatible with input_dim {net.input_dim}")
+    hidden = np.tanh(x @ net.hidden_weights.T + net.hidden_biases)
+    return hidden @ net.output_weights[0] + net.output_bias[0]
 
 
 def reference_mse(predictions, targets) -> float:
@@ -128,14 +138,14 @@ def reference_train(
                 )
             state = reference_gd_step(state, grad)
             train_err = reference_mse(
-                forward_batch(state.network, split.train.inputs), split.train.targets
+                reference_forward_batch(state.network, split.train.inputs), split.train.targets
             )
             if not math.isfinite(train_err):
                 raise DivergenceDetected(
                     f"training error became non-finite at epoch {epoch}", trace=trace
                 )
             val_err = reference_mse(
-                forward_batch(state.network, split.validation.inputs), split.validation.targets
+                reference_forward_batch(state.network, split.validation.inputs), split.validation.targets
             )
         state = replace(state, epoch=epoch, train_mse=train_err, validation_mse=val_err)
         trace.append(TraceEntry(epoch, train_err, val_err))

@@ -220,12 +220,14 @@ def test_gradient_loss_is_batch_mse():
 def test_parameter_arrays_are_views_of_flat_vector():
     net = random_network(3, 4, seed=23)
     assert net.flat.shape == (4 * 3 + 4 + 4 + 1,)
+    # the hidden layer is one row-major (H, m+1) block [W | b]
+    layer = np.column_stack([net.hidden_weights, net.hidden_biases])
     np.testing.assert_array_equal(
-        net.flat,
-        np.concatenate([net.hidden_weights.ravel(), net.hidden_biases,
-                        net.output_weights.ravel(), net.output_bias]),
+        net.flat, np.concatenate([layer.ravel(), net.output_weights.ravel(), net.output_bias])
     )
-    for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
+    np.testing.assert_array_equal(net.hidden_layer, layer)
+    for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias",
+                 "hidden_layer"):
         assert np.shares_memory(getattr(net, name), net.flat)
 
 

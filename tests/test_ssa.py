@@ -12,17 +12,16 @@ from ssaforecast.ssa import (
     ComponentSet,
     SingularSpectrum,
     ToeplitzCorrelation,
-    _reconstruct_all,
+    _fix_signs,
     decompose,
     eigendecompose,
     lag_correlation,
     partial_reconstruction,
     principal_components,
-    reconstruct_component,
-    singular_spectrum_plot_data,
+    singular_spectrum_rows,
 )
 
-from naive_ssa import naive_pipeline
+from naive_ssa import naive_pipeline, naive_rc
 
 SQ2 = math.sqrt(2.0)
 
@@ -95,7 +94,7 @@ def test_two_by_two_closed_form():
 
 def _power_iteration_eigh(c, iters=200000, tol=1e-12):
     """Brute-force oracle: dominant eigenpair by power iteration, then
-    deflation; no shared code with the Jacobi path."""
+    deflation; no shared code with LAPACK."""
     m = c.shape[0]
     work = c.copy()
     vals, vecs = [], []
@@ -142,7 +141,6 @@ def test_random_toeplitz_vs_power_iteration_oracle():
 
 
 def test_eigendecompose_matches_lapack_large():
-    # the > JACOBI_MAX_SIZE branch against the small-branch contract
     x = standardize(ar1(400, 0.6, seed=8)).values
     spec = eigendecompose(lag_correlation(x, 100))
     c = lag_correlation(x, 100).matrix()
@@ -151,12 +149,38 @@ def test_eigendecompose_matches_lapack_large():
     assert spec.eigenvalues.sum() == pytest.approx(np.trace(c), rel=1e-10)
 
 
+def sign_entry(col):
+    """The entry _fix_signs makes positive: the first within a relative
+    1e-8 of the largest magnitude."""
+    mags = np.abs(col)
+    return col[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
+
+
 def test_sign_convention():
     x = standardize(ar1(200, 0.9, seed=3)).values
     spec = eigendecompose(lag_correlation(x, 12))
     for k in range(12):
-        col = spec.eigenvectors[:, k]
-        assert col[np.argmax(np.abs(col))] > 0
+        assert sign_entry(spec.eigenvectors[:, k]) > 0
+
+
+def test_sign_ignores_last_ulp_ties():
+    # symmetric and antisymmetric columns attain their largest magnitude at
+    # both ends; a one-ulp nudge to either end must not move the sign entry
+    x = standardize(ar1(300, 0.8, seed=11)).values
+    vectors = eigendecompose(lag_correlation(x, 9)).eigenvectors
+    assert np.allclose(np.abs(vectors), np.abs(vectors[::-1]), atol=1e-12)
+    ends = (0, vectors.shape[0] - 1)
+    tied = [k for k in range(9) if np.argmax(np.abs(vectors[:, k])) in ends]
+    assert tied
+    want = _fix_signs(vectors)
+    for k in tied:
+        for row in ends:
+            for direction in (-np.inf, np.inf):
+                nudged = vectors.copy()
+                nudged[row, k] = np.nextafter(nudged[row, k], direction)
+                got = _fix_signs(nudged)[:, k]
+                assert np.sign(got[0]) == np.sign(want[0, k]) > 0
+                np.testing.assert_array_equal(np.sign(got), np.sign(want[:, k]))
 
 
 def test_eigenvalue_sum_is_window_for_standardized_input():
@@ -195,7 +219,7 @@ def test_pcs_dimension_mismatch():
         principal_components(np.array([1.0, 2.0]), spec)
 
 
-# -- reconstruct_component / completeness -------------------------------------
+# -- reconstruction / completeness --------------------------------------------
 
 def test_window_one_degenerate():
     x = standardize(ar1(50, 0.3, seed=9)).values
@@ -210,17 +234,10 @@ def test_reconstruction_hand_example():
     e2 = np.array([1 / SQ2, -1 / SQ2])
     spec = SingularSpectrum(np.array([1.0, 1.0]), np.column_stack([e1, e2]))
     pcs = principal_components(x, spec)
-    rc1 = reconstruct_component(pcs[:, 0], e1, 4, 2)
-    rc2 = reconstruct_component(pcs[:, 1], e2, 4, 2)
+    rc1 = naive_rc(pcs[:, 0], e1, 4, 2)
+    rc2 = naive_rc(pcs[:, 1], e2, 4, 2)
     np.testing.assert_allclose(rc1, [1.5, 2.0, 3.0, 3.5], atol=1e-12)
     np.testing.assert_allclose(rc1 + rc2, x, atol=1e-10)
-
-
-def test_reconstruct_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        reconstruct_component(np.zeros(3), np.zeros(2), n=5, window=2)
-    with pytest.raises(DimensionMismatch):
-        reconstruct_component(np.zeros(4), np.zeros(3), n=5, window=2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -239,13 +256,13 @@ def test_completeness_property(n, window, seed):
     assert comps.pcs.shape == (n - window + 1, window)
 
 
-def test_fft_and_direct_reconstruction_agree():
-    # window above JACOBI_MAX_SIZE exercises the FFT batch path
-    x = standardize(ar1(400, 0.7, seed=5)).values
-    _, spec, comps = decompose(x, 80)
-    for k in (0, 7, 79):
-        direct = reconstruct_component(comps.pcs[:, k], spec.eigenvectors[:, k], 400, 80)
-        np.testing.assert_allclose(comps.rcs[:, k], direct, atol=1e-12)
+@pytest.mark.parametrize("n, window", [(400, 80), (120, 35), (37, 5)])
+def test_reconstruction_matches_naive_diagonal_averaging(n, window):
+    x = standardize(ar1(n, 0.7, seed=5)).values
+    _, spec, comps = decompose(x, window)
+    for k in (0, window // 2, window - 1):
+        want = naive_rc(comps.pcs[:, k], spec.eigenvectors[:, k], n, window)
+        np.testing.assert_allclose(comps.rcs[:, k], want, atol=1e-12)
 
 
 # -- partial_reconstruction ----------------------------------------------------
@@ -287,27 +304,25 @@ def test_partial_variance_monotone_in_p():
     assert np.all(np.diff(variances) >= -1e-10)
 
 
-# -- singular_spectrum_plot_data -----------------------------------------------
+# -- singular_spectrum_rows -------------------------------------------------------
 
-def test_plot_data_powers_of_ten():
+def test_spectrum_rows_powers_of_ten():
     spec = SingularSpectrum(np.array([100.0, 1.0, 0.01]), np.eye(3))
-    pts = singular_spectrum_plot_data(spec)
-    assert [(p.rank, p.log10_eigenvalue) for p in pts] == [(1, 2.0), (2, 0.0), (3, -2.0)]
-    assert not any(p.clamped for p in pts)
+    assert list(singular_spectrum_rows(spec)) == [(1, 2.0, False), (2, 0.0, False), (3, -2.0, False)]
 
 
-def test_plot_data_rank_increasing():
+def test_spectrum_rows_rank_increasing():
     x = standardize(ar1(200, 0.5, seed=21)).values
     spec = eigendecompose(lag_correlation(x, 10))
-    pts = singular_spectrum_plot_data(spec)
-    assert [p.rank for p in pts] == list(range(1, 11))
-    assert all(a.log10_eigenvalue >= b.log10_eigenvalue for a, b in zip(pts, pts[1:]))
+    rows = list(singular_spectrum_rows(spec))
+    assert [r[0] for r in rows] == list(range(1, 11))
+    assert all(a[1] >= b[1] for a, b in zip(rows, rows[1:]))
 
 
-def test_plot_data_clamps_zero():
+def test_spectrum_rows_clamp_zero():
     spec = SingularSpectrum(np.array([1.0, 0.0]), np.eye(2))
-    pts = singular_spectrum_plot_data(spec)
-    assert pts[1].clamped and pts[1].log10_eigenvalue == -15.0
+    rank, value, clamped = list(singular_spectrum_rows(spec))[1]
+    assert clamped is True and value == -15.0
 
 
 # -- oracle equivalence ---------------------------------------------------------
