@@ -1,8 +1,10 @@
 """Independent straight-loop reference for the decomposition pipeline.
 
 Deliberately naive: explicit index-by-index sums transcribing the defining
-formulas (1-based indices shifted to 0-based arrays), with numpy.linalg.eigh
-as the eigen-backend, so it shares no code path with ssaforecast.ssa.
+formulas (1-based indices shifted to 0-based arrays).  Its eigen-backend,
+numpy.linalg.eigh, is also the one ssaforecast.ssa uses; the eigenpairs are
+checked independently by the power-iteration oracle in test_ssa.py and the
+spectral identities of acceptance criterion 2.
 """
 
 import numpy as np

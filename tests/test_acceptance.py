@@ -256,6 +256,7 @@ def test_criterion_5_curriculum_benefit(benchmark_compare):
     report(5, ok, f"{detail}, {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_held_out_seeds(tmp_path, monkeypatch):
     """Criterion 5's rule on seeds 10-49, which it never gates on. The line
     is printed, not asserted: a 10-seed median passes or fails partly by

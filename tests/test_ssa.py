@@ -13,6 +13,7 @@ from ssaforecast.ssa import (
     SingularSpectrum,
     ToeplitzCorrelation,
     _fix_signs,
+    _reconstruct_all,
     decompose,
     eigendecompose,
     lag_correlation,
@@ -234,10 +235,11 @@ def test_reconstruction_hand_example():
     e2 = np.array([1 / SQ2, -1 / SQ2])
     spec = SingularSpectrum(np.array([1.0, 1.0]), np.column_stack([e1, e2]))
     pcs = principal_components(x, spec)
-    rc1 = naive_rc(pcs[:, 0], e1, 4, 2)
-    rc2 = naive_rc(pcs[:, 1], e2, 4, 2)
-    np.testing.assert_allclose(rc1, [1.5, 2.0, 3.0, 3.5], atol=1e-12)
-    np.testing.assert_allclose(rc1 + rc2, x, atol=1e-10)
+    rcs = _reconstruct_all(pcs, spec.eigenvectors, 4)
+    np.testing.assert_allclose(rcs[:, 0], [1.5, 2.0, 3.0, 3.5], atol=1e-12)
+    np.testing.assert_allclose(rcs[:, 0], naive_rc(pcs[:, 0], e1, 4, 2), atol=1e-12)
+    np.testing.assert_allclose(rcs[:, 1], naive_rc(pcs[:, 1], e2, 4, 2), atol=1e-12)
+    np.testing.assert_allclose(rcs.sum(axis=1), x, atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
