@@ -22,6 +22,14 @@ GOLDEN_DIR = ROOT / "tests" / "fixtures" / "golden"
 GOLDEN_FILES = (
     "spectrum.json", "components.csv", "singular_spectrum.csv",
     "summary.json", "network.json", "trace.csv", "forecast.csv", "forecast.json",
+    "comparison.json", "curve.csv",
+)
+COMMANDS = (
+    ["decompose", "--config", "golden_config.json"],
+    ["train", "--config", "golden_config.json"],
+    ["predict", "--config", "golden_config.json", "--network", "out/network.json"],
+    ["compare", "--config", "golden_config.json", "--set", "seeds=0,1,2",
+     "--set", "compare_horizon=20", "--set", "stage_epochs=40"],
 )
 
 
@@ -35,9 +43,7 @@ def run() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in (["decompose", "--config", "golden_config.json"],
-                         ["train", "--config", "golden_config.json"],
-                         ["predict", "--config", "golden_config.json", "--network", "out/network.json"]):
+            for argv in COMMANDS:
                 code = main(argv)
                 if code != 0:
                     raise SystemExit(f"{' '.join(argv)} exited {code}; goldens left unchanged")

@@ -278,6 +278,13 @@ def test_predict_emits_peak(workdir):
 
 # -- compare ----------------------------------------------------------------------
 
+def test_compare_golden_files(workdir, fixtures_dir, monkeypatch):
+    outputs = run_twice(workdir, monkeypatch,
+                        ["compare", "--config", "golden_config.json", "--set", "seeds=0,1,2",
+                         "--set", "compare_horizon=20", "--set", "stage_epochs=40"])
+    assert_golden_files(outputs, fixtures_dir, ("comparison.json", "curve.csv"))
+
+
 def test_compare_singleton_seed(workdir):
     assert main(["compare", "--config", "golden_config.json",
                  "--set", "seeds=1", "--set", "compare_horizon=20",
