@@ -3,16 +3,13 @@ long-term univariate forecasting."""
 
 from .curriculum import (
     CurriculumResult,
-    CurriculumSchedule,
     StageParams,
-    TrainingStage,
-    baseline_train,
     compare_curriculum_baseline,
     curriculum_train,
-    default_schedule,
     error_vs_pc_curve,
+    stage_counts,
 )
-from .forecast import ForecastMetrics, ForecastResult, evaluate, forecast_series, multi_step_predict, one_step_predict
+from .forecast import ForecastMetrics, ForecastResult, evaluate, forecast_series, multi_step_predict
 from .mlp import Network, backprop_gradient, forward, gd_step, init_network, mse, train
 from .series import (
     EmbeddingDataset,

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +26,9 @@ from . import curriculum as cur
 from . import forecast as fc
 from . import mlp, ssa
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmbeddingTooLarge,
-    NonFiniteOutput,
-    RuntimeFailure,
-    ValidationError,
-    WindowTooLarge,
-)
+from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, RuntimeFailure, ValidationError
 from .jsonio import dumps, write_csv, write_json
-from .series import load_csv, standardize
+from .series import check_embedding_size, load_csv, standardize
 
 
 def _load_series(config: RunConfig, check_embedding: bool = False):
@@ -42,14 +36,9 @@ def _load_series(config: RunConfig, check_embedding: bool = False):
         raise ConfigError("config key 'input_csv' is required for this command")
     raw = load_csv(config.input_csv, config.value_column, config.time_column)
     # re-validate size constraints against the loaded series before any work
-    if config.window > raw.n // 2:
-        raise WindowTooLarge(
-            f"window {config.window} exceeds half the series length {raw.n}"
-        )
-    if check_embedding and config.embedding >= raw.n:
-        raise EmbeddingTooLarge(
-            f"embedding dimension {config.embedding} needs a series longer than {raw.n}"
-        )
+    ssa.check_window_size(config.window, raw.n)
+    if check_embedding:
+        check_embedding_size(config.embedding, raw.n)
     return raw
 
 
@@ -98,15 +87,15 @@ def _write_train_outputs(out: Path, traces) -> None:
     write_csv(out / "trace.csv", ["stage", "epoch", "train_mse", "validation_mse"], rows)
 
 
-def _stage_final_errors(sources, traces) -> list[dict]:
+def _stage_final_errors(counts, traces) -> list[dict]:
     """Stage-end errors: each stage hands its best-validation state to the
     next, so report the trace entry that state corresponds to."""
     out = []
-    for source, trace in zip(sources, traces):
+    for p, trace in zip(counts, traces):
         best = min(trace, key=lambda e: e.validation_mse)
         out.append(
             {
-                "source": source,
+                "source": "raw" if p is None else p,
                 "epochs_run": len(trace),
                 "train_mse": best.train_mse,
                 "validation_mse": best.validation_mse,
@@ -121,39 +110,23 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
     out = Path(config.output_dir)
     params = _stage_params(config)
     initial = mlp.init_network(config.embedding, config.hidden_units, config.seed)
-    patience = config.early_stop_patience
+    counts = cur.stage_counts(config.window, config.pc_step)
+    components = None
+    if mode == "baseline":
+        # one raw stage with the whole curriculum's epoch budget
+        counts, params = (None,), replace(params, epochs=params.epochs * len(counts))
+    else:
+        _, _, components = ssa.decompose(std, config.window)
     try:
-        if mode == "curriculum":
-            schedule = cur.default_schedule(config.window, config.pc_step, params)
-            _, _, components = ssa.decompose(std, config.window)
-            result = cur.curriculum_train(
-                std, components, config.embedding, schedule, config.hidden_units,
-                config.seed, config.validation_fraction, patience,
-            )
-            state = result.final_state
-            traces = result.stage_traces
-            boundaries = list(result.stage_boundaries)
-            total = result.total_epochs
-            sources = ["raw" if s.is_raw else s.p for s in schedule.stages]
-        else:
-            budget = config.stage_epochs * (
-                len(cur.default_schedule(config.window, config.pc_step, params).stages)
-            )
-            state, trace = cur.baseline_train(
-                std, config.embedding, config.hidden_units, budget, config.stage_lr,
-                config.stage_momentum, config.seed, config.validation_fraction, patience,
-            )
-            traces = (tuple(trace),)
-            boundaries = [len(trace)]
-            total = len(trace)
-            sources = ["raw"]
+        result = cur.curriculum_train(
+            std, components, config.embedding, counts, config.hidden_units, params,
+            config.seed, config.validation_fraction, config.early_stop_patience,
+        )
     except RuntimeFailure as exc:
-        partial = getattr(exc, "stage_traces", None)
-        if partial is None and getattr(exc, "trace", None) is not None:
-            partial = (tuple(exc.trace),)
-        if partial is not None:
-            _write_train_outputs(out, partial)
+        if hasattr(exc, "stage_traces"):
+            _write_train_outputs(out, exc.stage_traces)
         raise
+    state, traces, total = result.final_state, result.stage_traces, result.total_epochs
     _write_train_outputs(out, traces)
     write_json(out / "network.json", mlp.network_to_dict(state.network))
     write_json(
@@ -162,8 +135,8 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
             "mode": mode,
             "final_train_mse": state.train_mse,
             "final_validation_mse": state.validation_mse,
-            "stages": _stage_final_errors(sources, traces),
-            "stage_boundaries": boundaries,
+            "stages": _stage_final_errors(counts, traces),
+            "stage_boundaries": list(itertools.accumulate(map(len, traces))),
             "total_epochs": total,
             "initial_network_sha256": _network_fingerprint(initial),
             "standardization": {"mean": std.mean, "scale": std.scale},
@@ -200,9 +173,7 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str, horizon: int |
                 "overrides": {**echo["overrides"], "horizon": horizon}}
     out = Path(config.output_dir)
     try:
-        result = fc.forecast_series(
-            net, std, config.embedding, steps, std.mean, std.scale, raw.timestamps
-        )
+        result = fc.forecast_series(net, std, steps, raw.timestamps)
     except NonFiniteOutput as exc:
         write_json(
             out / "forecast_partial.json",
@@ -238,18 +209,6 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
     std = standardize(raw)
     out = Path(config.output_dir)
     params = _stage_params(config)
-
-    def record(r: cur.SeedComparison) -> dict:
-        return {
-            "seed": r.seed,
-            "curriculum_validation_mse": r.curriculum_validation_mse,
-            "baseline_validation_mse": r.baseline_validation_mse,
-            "curriculum_forecast_rmse": r.curriculum_forecast_rmse,
-            "baseline_forecast_rmse": r.baseline_forecast_rmse,
-            "curriculum_epochs": r.curriculum_epochs,
-            "baseline_epochs": r.baseline_epochs,
-        }
-
     # a failure anywhere below still writes this document, with an "error"
     # field and whatever finished before it ("curve" stays null if the
     # curve itself failed)
@@ -288,17 +247,16 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
         )
     except RuntimeFailure as exc:
         write_curve(getattr(exc, "curve", None))
-        document["per_seed"] = [record(r) for r in getattr(exc, "completed_seeds", ())]
+        document["per_seed"] = [asdict(r) for r in getattr(exc, "completed_seeds", ())]
         document["error"] = str(exc)
         write_json(out / "comparison.json", document)
         raise
     write_curve(comparison.curve)
-    document["per_seed"] = [record(r) for r in comparison.per_seed]
+    document["per_seed"] = [asdict(r) for r in comparison.per_seed]
     medians = {
-        "curriculum_validation_mse": comparison.median("curriculum_validation_mse"),
-        "baseline_validation_mse": comparison.median("baseline_validation_mse"),
-        "curriculum_forecast_rmse": comparison.median("curriculum_forecast_rmse"),
-        "baseline_forecast_rmse": comparison.median("baseline_forecast_rmse"),
+        f"{arm}_{metric}": comparison.median(f"{arm}_{metric}")
+        for metric in ("validation_mse", "forecast_rmse")
+        for arm in ("curriculum", "baseline")
     }
     document["medians"] = medians
     document["paired"] = {

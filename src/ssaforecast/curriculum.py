@@ -1,21 +1,22 @@
 """Coarse-to-fine training: fit the network on a 2-component reconstruction
 first, re-train on progressively richer reconstructions, and finish on the
-raw series.  One network persists across stages (warm start).  A raw-only
-baseline trainer with the same embedding/split/initialization rules serves as
-the comparison arm."""
+raw series.  One network persists across stages (warm start).  The baseline
+arm is the same loop with one raw stage, so it shares the embedding, split
+and initialization rules."""
 
 from __future__ import annotations
 
 import math
 import os
 import statistics
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadHorizon, BadStep, DivergenceDetected, RuntimeFailure, ScheduleInvalid
+from .errors import BadHorizon, BadStep, DivergenceDetected, RuntimeFailure
 from .forecast import evaluate, multi_step_predict
-from .mlp import Network, TraceEntry, TrainState, forward_batch, init_network, mse, train
+from .mlp import TraceEntry, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
 from .ssa import ComponentSet, decompose, partial_reconstruction
 
@@ -28,50 +29,10 @@ class StageParams:
     lr: float
     momentum: float = 0.9
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ScheduleInvalid("stage epochs must be at least 1")
-        if self.lr <= 0.0:
-            raise ScheduleInvalid("stage learning rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ScheduleInvalid("stage momentum must lie in [0, 1)")
 
-
-@dataclass(frozen=True)
-class TrainingStage:
-    """One curriculum stage: train on the p-component reconstruction, or on
-    the raw series when p is None."""
-
-    p: int | None
-    params: StageParams
-
-    @property
-    def is_raw(self) -> bool:
-        return self.p is None
-
-
-@dataclass(frozen=True)
-class CurriculumSchedule:
-    stages: tuple[TrainingStage, ...]
-    pc_step: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
-            raise ScheduleInvalid("schedule needs at least one stage")
-        if not self.stages[-1].is_raw:
-            raise ScheduleInvalid("the final stage must train on the raw series")
-        ps = [s.p for s in self.stages if not s.is_raw]
-        if any(not s.is_raw for s in self.stages[len(ps):]):
-            raise ScheduleInvalid("reconstruction stages must precede the raw stage")
-        if any(a >= b for a, b in zip(ps, ps[1:])):
-            raise ScheduleInvalid("component counts must be strictly increasing")
-        if ps and any(p < 1 for p in ps):
-            raise ScheduleInvalid("component counts must be positive")
-
-
-def default_schedule(window: int, pc_step: int, params: StageParams) -> CurriculumSchedule:
-    """Stages at p = 2, 2+pc_step, ... capped at the window size, then raw."""
+def stage_counts(window: int, pc_step: int) -> tuple[int | None, ...]:
+    """Component counts p = 2, 2+pc_step, ... capped at the window size, then
+    None for the raw series."""
     if window < 2:
         raise BadStep("window must be at least 2")
     if pc_step < 1:
@@ -79,121 +40,63 @@ def default_schedule(window: int, pc_step: int, params: StageParams) -> Curricul
     ps = list(range(2, window + 1, pc_step))
     if ps[-1] != window:
         ps.append(window)
-    stages = [TrainingStage(p, params) for p in ps]
-    stages.append(TrainingStage(None, params))
-    return CurriculumSchedule(tuple(stages), pc_step)
+    return (*ps, None)
 
 
 @dataclass(frozen=True)
 class CurriculumResult:
-    final_state: TrainState
+    states: tuple[TrainState, ...]  # the state each stage hands on
     stage_traces: tuple[tuple[TraceEntry, ...], ...]
-    stage_boundaries: tuple[int, ...]  # cumulative epochs after each stage
-    config_echo: dict
-    initial_network: Network
-    total_epochs: int
 
+    @property
+    def final_state(self) -> TrainState:
+        return self.states[-1]
 
-def _stage_source(components, series: StandardizedSeries, stage: TrainingStage) -> np.ndarray:
-    if stage.is_raw:
-        return series.values
-    return partial_reconstruction(components, stage.p)
+    @property
+    def total_epochs(self) -> int:
+        return sum(map(len, self.stage_traces))
 
 
 def curriculum_train(
     series: StandardizedSeries,
-    components: ComponentSet,
+    components: ComponentSet | None,
     embedding: int,
-    schedule: CurriculumSchedule,
+    counts: Iterable[int | None],
     hidden: int,
+    params: StageParams,
     seed: int,
     fraction: float = DEFAULT_VALIDATION_FRACTION,
     patience: int | None = None,
     pin_split: bool = False,
 ) -> CurriculumResult:
-    """Run every stage on one warm-started network.
+    """Train one warm-started network through a stage per entry of `counts`:
+    the p-component reconstruction of `series`, or the raw series for None.
 
-    `components` is the decomposition of `series` (its window is the run's
-    window), computed once by the caller and shared by all stages and seeds.
+    `components` is the decomposition of `series`, computed once by the
+    caller and shared by all stages and seeds; a raw-only run needs none.
     Each stage embeds its own source series (filtered inputs predict filtered
     targets), re-draws the validation split with seed + stage index, and
     hands its returned parameters to the next stage.  With pin_split=True all
     stages reuse the seed-drawn split (same pair indices throughout), which
     makes a run directly comparable to a baseline run on the same seed.
     """
-    window = components.window
-    for stage in schedule.stages:
-        if not stage.is_raw and stage.p > window:
-            raise ScheduleInvalid(f"stage component count {stage.p} exceeds window {window}")
     net = init_network(embedding, hidden, seed)
-    initial = net
+    states: list[TrainState] = []
     traces: list[tuple[TraceEntry, ...]] = []
-    boundaries: list[int] = []
-    total = 0
-    state = None
-    for idx, stage in enumerate(schedule.stages):
-        source = _stage_source(components, series, stage)
-        dataset = build_embedding(source, embedding)
-        split = split_validation(dataset, fraction, seed if pin_split else seed + idx)
+    for idx, p in enumerate(counts):
+        source = series.values if p is None else partial_reconstruction(components, p)
+        split = split_validation(build_embedding(source, embedding), fraction,
+                                 seed if pin_split else seed + idx)
         try:
-            state, trace = train(
-                net, split, stage.params.epochs, stage.params.lr, stage.params.momentum, patience
-            )
+            state, trace = train(net, split, params.epochs, params.lr, params.momentum, patience)
         except DivergenceDetected as exc:
             # keep every completed stage alongside the failing stage's prefix
             exc.stage_traces = tuple(traces) + (tuple(exc.trace),)
             raise
         net = state.network
+        states.append(state)
         traces.append(tuple(trace))
-        total += len(trace)
-        boundaries.append(total)
-    echo = {
-        "window": window,
-        "embedding": embedding,
-        "hidden": hidden,
-        "seed": seed,
-        "fraction": fraction,
-        "patience": patience,
-        "pin_split": pin_split,
-        "pc_step": schedule.pc_step,
-        "stages": [
-            {
-                "source": "raw" if s.is_raw else s.p,
-                "epochs": s.params.epochs,
-                "lr": s.params.lr,
-                "momentum": s.params.momentum,
-            }
-            for s in schedule.stages
-        ],
-    }
-    return CurriculumResult(
-        final_state=state,
-        stage_traces=tuple(traces),
-        stage_boundaries=tuple(boundaries),
-        config_echo=echo,
-        initial_network=initial,
-        total_epochs=total,
-    )
-
-
-def baseline_train(
-    series: StandardizedSeries,
-    embedding: int,
-    hidden: int,
-    epochs: int,
-    lr: float,
-    momentum: float,
-    seed: int,
-    fraction: float = DEFAULT_VALIDATION_FRACTION,
-    patience: int | None = None,
-) -> tuple[TrainState, list[TraceEntry]]:
-    """One-shot training on the raw series with the same embedding, split,
-    and initialization rules as the curriculum path (same seed gives the same
-    initial weights and, for a raw-only schedule, the identical run)."""
-    dataset = build_embedding(series.values, embedding)
-    split = split_validation(dataset, fraction, seed)
-    net = init_network(embedding, hidden, seed)
-    return train(net, split, epochs, lr, momentum, patience)
+    return CurriculumResult(tuple(states), tuple(traces))
 
 
 @dataclass(frozen=True)
@@ -229,35 +132,23 @@ def error_vs_pc_curve(
     gets the same total epoch budget in a single raw run.
     """
     _, _, components = decompose(series, window)
-    raw_dataset = build_embedding(series.values, embedding)
-    raw_split = split_validation(raw_dataset, fraction, seed)
-    net = init_network(embedding, hidden, seed)
-    points: list[PcCurvePoint] = []
-    total = 0
-    for idx, p in enumerate(range(2, window + 1)):
-        source = partial_reconstruction(components, p)
-        dataset = build_embedding(source, embedding)
-        split = split_validation(dataset, fraction, seed + idx)
-        state, trace = train(net, split, params.epochs, params.lr, params.momentum, patience=None)
-        net = state.network
-        total += len(trace)
-        train_err = mse(forward_batch(net, raw_split.train.inputs), raw_split.train.targets)
-        val_err = mse(forward_batch(net, raw_split.validation.inputs), raw_split.validation.targets)
-        points.append(PcCurvePoint(p=p, train_mse=train_err, validation_mse=val_err))
-    base_state, base_trace = baseline_train(
-        series, embedding, hidden, total, params.lr, params.momentum, seed, fraction, patience=None
-    )
-    base_net = base_state.network
+    raw = split_validation(build_embedding(series.values, embedding), fraction, seed)
+
+    def score(net) -> tuple[float, float]:
+        return (mse(forward_batch(net, raw.train.inputs), raw.train.targets),
+                mse(forward_batch(net, raw.validation.inputs), raw.validation.targets))
+
+    ps = range(2, window + 1)
+    sweep = curriculum_train(series, components, embedding, ps, hidden, params, seed, fraction)
+    base = curriculum_train(series, None, embedding, (None,), hidden,
+                            replace(params, epochs=sweep.total_epochs), seed, fraction)
+    base_train, base_val = score(base.final_state.network)
     return PcCurve(
-        points=tuple(points),
-        baseline_train_mse=mse(
-            forward_batch(base_net, raw_split.train.inputs), raw_split.train.targets
-        ),
-        baseline_validation_mse=mse(
-            forward_batch(base_net, raw_split.validation.inputs), raw_split.validation.targets
-        ),
-        curriculum_epochs=total,
-        baseline_epochs=len(base_trace),
+        points=tuple(PcCurvePoint(p, *score(s.network)) for p, s in zip(ps, sweep.states)),
+        baseline_train_mse=base_train,
+        baseline_validation_mse=base_val,
+        curriculum_epochs=sweep.total_epochs,
+        baseline_epochs=base.total_epochs,
     )
 
 
@@ -405,38 +296,31 @@ def _compare_seed(
     components: ComponentSet,
     holdout: np.ndarray,
     embedding: int,
-    schedule: CurriculumSchedule,
+    counts: tuple[int | None, ...],
     hidden: int,
     params: StageParams,
     seed: int,
     fraction: float,
 ) -> SeedComparison:
     """Both arms of one seed: curriculum, then a baseline with its budget."""
-    cur = curriculum_train(
-        std, components, embedding, schedule, hidden, seed, fraction, patience=None,
-        pin_split=True,
-    )
-    base_state, base_trace = baseline_train(
-        std, embedding, hidden, cur.total_epochs, params.lr, params.momentum,
-        seed, fraction, patience=None,
-    )
+    cur = curriculum_train(std, components, embedding, counts, hidden, params, seed, fraction,
+                           pin_split=True)
+    base = curriculum_train(std, None, embedding, (None,), hidden,
+                            replace(params, epochs=cur.total_epochs), seed, fraction)
     seed_window = std.values[-embedding:]
-    cur_pred = destandardize(
-        multi_step_predict(cur.final_state.network, seed_window, holdout.size),
-        std.mean, std.scale,
-    )
-    base_pred = destandardize(
-        multi_step_predict(base_state.network, seed_window, holdout.size),
-        std.mean, std.scale,
+    cur_pred, base_pred = (
+        destandardize(multi_step_predict(run.final_state.network, seed_window, holdout.size),
+                      std.mean, std.scale)
+        for run in (cur, base)
     )
     return SeedComparison(
         seed=seed,
         curriculum_validation_mse=cur.final_state.validation_mse,
-        baseline_validation_mse=base_state.validation_mse,
+        baseline_validation_mse=base.final_state.validation_mse,
         curriculum_forecast_rmse=evaluate(cur_pred, holdout).rmse,
         baseline_forecast_rmse=evaluate(base_pred, holdout).rmse,
         curriculum_epochs=cur.total_epochs,
-        baseline_epochs=len(base_trace),
+        baseline_epochs=base.total_epochs,
     )
 
 
@@ -480,16 +364,16 @@ def compare_curriculum_baseline(
     fit = values[: values.size - horizon]
     holdout = values[values.size - horizon :]
     std = standardize(fit)
-    schedule = default_schedule(window, pc_step, params)
+    counts = stage_counts(window, pc_step)
     _, _, components = decompose(std, window)
     tasks = [
-        (_compare_seed, (std, components, holdout, embedding, schedule, hidden, params, seed,
+        (_compare_seed, (std, components, holdout, embedding, counts, hidden, params, seed,
                          fraction))
         for seed in seeds
     ]
     # each task's epoch budget: both arms of a seed, or the curve's sweep
     # plus its equal-budget baseline
-    costs = [2 * len(schedule.stages) * params.epochs] * len(tasks)
+    costs = [2 * len(counts) * params.epochs] * len(tasks)
     if curve_series is not None:
         tasks.insert(0, (error_vs_pc_curve, (curve_series, window, embedding, hidden, params,
                                              seeds[0], fraction)))

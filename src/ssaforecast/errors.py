@@ -87,10 +87,6 @@ class BadStep(ValidationError):
     pass
 
 
-class ScheduleInvalid(ValidationError):
-    pass
-
-
 class BadHorizon(ValidationError):
     pass
 

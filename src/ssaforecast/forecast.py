@@ -1,4 +1,4 @@
-"""One-step and iterated closed-loop prediction, plus error metrics and
+"""Iterated closed-loop prediction, plus error metrics and
 forecast assembly in original units."""
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ class ForecastMetrics:
     rmse: float
     nrmse: float  # rmse / population std of the targets
     horizon: int
-
-
-def one_step_predict(net: Network, window) -> float:
-    """Single prediction from an m-wide window (delegates to the network)."""
-    return forward(net, window)
 
 
 def multi_step_predict(net: Network, seed_window, horizon: int) -> np.ndarray:
@@ -83,17 +78,12 @@ def evaluate(predictions, actual) -> ForecastMetrics:
 
 
 def forecast_series(
-    net: Network,
-    series: StandardizedSeries,
-    m: int,
-    horizon: int,
-    mean: float,
-    scale: float,
-    timestamps,
+    net: Network, series: StandardizedSeries, horizon: int, timestamps
 ) -> ForecastResult:
-    """Seed the loop from the last m standardized values, forecast `horizon`
-    steps, convert back to original units, and extend the time axis at the
-    source spacing."""
+    """Seed the loop from the last m = net.input_dim standardized values,
+    forecast `horizon` steps, convert back to original units with the
+    series' mean and scale, and extend the time axis at the source spacing."""
+    m = net.input_dim
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if series.n < m:
@@ -107,7 +97,7 @@ def forecast_series(
     future = ts[-1] + step * np.arange(1, horizon + 1)
     return ForecastResult(
         horizon=horizon,
-        predictions=destandardize(standardized, mean, scale),
+        predictions=destandardize(standardized, series.mean, series.scale),
         standardized_predictions=standardized,
         seed_window=seed_window,
         timestamps=future,

@@ -157,14 +157,20 @@ class EmbeddingDataset:
         return EmbeddingDataset(self.inputs[indices], self.targets[indices], self.m)
 
 
+def check_embedding_size(m: int, n: int) -> None:
+    """Reject an embedding that leaves no (window, target) pair in an
+    n-sample series."""
+    if m >= n:
+        raise EmbeddingTooLarge(f"embedding dimension {m} needs a series longer than {n}")
+
+
 def build_embedding(series, m: int) -> EmbeddingDataset:
     """Slide an m-wide window over the series; N - m pairs."""
     values = _as_values(series)
     n = values.size
     if m < 1:
         raise ValueError("embedding dimension must be at least 1")
-    if m >= n:
-        raise EmbeddingTooLarge(f"embedding dimension {m} needs a series longer than {n}")
+    check_embedding_size(m, n)
     windows = np.lib.stride_tricks.sliding_window_view(values, m)[:-1]
     return EmbeddingDataset(np.array(windows), values[m:].copy(), m)
 

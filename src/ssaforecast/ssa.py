@@ -90,14 +90,19 @@ class ComponentSet:
     completeness_error: float  # max |sum_k rc_k - series|
 
 
+def check_window_size(window: int, n: int) -> None:
+    """Reject a window wider than half of an n-sample series."""
+    if window > n // 2:
+        raise WindowTooLarge(f"window {window} exceeds half the series length {n}")
+
+
 def lag_correlation(series, window: int) -> ToeplitzCorrelation:
     """Lagged correlations of a standardized series (c_0 = 1 by construction)."""
     x = _as_values(series)
     n = x.size
     if window < 1:
         raise ValueError("window must be at least 1")
-    if window > n // 2:
-        raise WindowTooLarge(f"window {window} exceeds half the series length {n}")
+    check_window_size(window, n)
     if window > n // 3:
         warnings.warn(
             f"window {window} exceeds a third of the series length {n}; "

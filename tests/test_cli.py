@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from ssaforecast.cli import main
-from ssaforecast.mlp import network_from_dict
-from ssaforecast.forecast import one_step_predict
+from ssaforecast.mlp import forward, init_network, network_from_dict, network_to_dict
 from ssaforecast.series import load_csv, standardize
 
 
@@ -253,7 +252,7 @@ def test_predict_horizon_one_matches_one_step(workdir):
     net = network_from_dict(json.loads(read("out/network.json")))
     raw = load_csv("tiny_series.csv", "value", "time")
     std = standardize(raw)
-    expected = one_step_predict(net, std.values[-4:]) * std.scale + std.mean
+    expected = forward(net, std.values[-4:]) * std.scale + std.mean
     assert predicted == pytest.approx(expected, rel=1e-12)
 
 
@@ -316,16 +315,27 @@ def test_zero_variance_exit_1(workdir, capsys):
     assert "ZeroVariance" in capsys.readouterr().err
 
 
-def test_window_too_large_exit_2(workdir, capsys):
-    code = main(["decompose", "--config", "golden_config.json", "--set", "window=100"])
-    assert code == 2
-    assert "WindowTooLarge" in capsys.readouterr().err
+OVERSIZED_WINDOW = ("window=100", "WindowTooLarge: window 100 exceeds half the series length 120")
+OVERSIZED_EMBEDDING = (
+    "embedding=200", "EmbeddingTooLarge: embedding dimension 200 needs a series longer than 120")
+EMBEDDING_COMMANDS = (
+    ["train", "--mode", "curriculum"], ["train", "--mode", "baseline"],
+    ["predict", "--network", "net.json"], ["compare"],
+)
 
 
-def test_embedding_too_large_exit_2(workdir, capsys):
-    code = main(["train", "--config", "golden_config.json", "--set", "embedding=200"])
+@pytest.mark.parametrize("command, override, error", [
+    *[(command, *OVERSIZED_WINDOW) for command in (["decompose"], *EMBEDDING_COMMANDS)],
+    *[(command, *OVERSIZED_EMBEDDING) for command in EMBEDDING_COMMANDS],
+])
+def test_oversized_size_exit_2_before_work(workdir, capsys, command, override, error):
+    # a network as wide as the configured embedding, so predict reaches the series
+    width = 200 if override == OVERSIZED_EMBEDDING[0] else 4
+    Path("net.json").write_text(json.dumps(network_to_dict(init_network(width, 5, 0))))
+    code = main([command[0], "--config", "golden_config.json", *command[1:], "--set", override])
     assert code == 2
-    assert "EmbeddingTooLarge" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not Path("out").exists() or not any(Path("out").iterdir())
 
 
 def test_divergence_exit_1_with_partial_trace(workdir, capsys):

@@ -4,18 +4,15 @@ import pytest
 from ssaforecast.benchmark import two_sine_benchmark
 from ssaforecast.curriculum import (
     ComparisonResult,
-    CurriculumSchedule,
     SeedComparison,
     StageParams,
-    TrainingStage,
-    baseline_train,
     compare_curriculum_baseline,
     curriculum_train,
-    default_schedule,
     error_vs_pc_curve,
     sign_test_p,
+    stage_counts,
 )
-from ssaforecast.errors import BadHorizon, BadStep, DivergenceDetected, ScheduleInvalid
+from ssaforecast.errors import BadComponentCount, BadHorizon, BadStep, DivergenceDetected
 from ssaforecast.mlp import init_network, train
 from ssaforecast.series import build_embedding, split_validation, standardize
 from ssaforecast.ssa import decompose, partial_reconstruction
@@ -33,112 +30,64 @@ def components(series, window):
     return comps
 
 
-# -- default_schedule ---------------------------------------------------------
+# -- stage_counts ---------------------------------------------------------------
 
 def test_schedule_m6_step2():
-    sched = default_schedule(6, 2, PARAMS)
-    assert [s.p for s in sched.stages] == [2, 4, 6, None]
+    assert stage_counts(6, 2) == (2, 4, 6, None)
 
 
 def test_schedule_m35_step2():
-    sched = default_schedule(35, 2, PARAMS)
-    ps = [s.p for s in sched.stages if not s.is_raw]
-    assert ps == list(range(2, 35, 2)) + [35]
-    assert len(sched.stages) == 19
-    assert sched.stages[-1].is_raw
+    counts = stage_counts(35, 2)
+    assert list(counts[:-1]) == list(range(2, 35, 2)) + [35]
+    assert len(counts) == 19
+    assert counts[-1] is None
 
 
 def test_schedule_cap_applies():
-    sched = default_schedule(5, 10, PARAMS)
-    assert [s.p for s in sched.stages] == [2, 5, None]
+    assert stage_counts(5, 10) == (2, 5, None)
 
 
 def test_schedule_bad_step():
     with pytest.raises(BadStep):
-        default_schedule(6, 0, PARAMS)
+        stage_counts(6, 0)
     with pytest.raises(BadStep):
-        default_schedule(1, 1, PARAMS)
-
-
-def test_schedule_validation():
-    with pytest.raises(ScheduleInvalid):
-        CurriculumSchedule((), 2)
-    with pytest.raises(ScheduleInvalid):
-        CurriculumSchedule((TrainingStage(2, PARAMS),), 2)  # missing final raw
-    with pytest.raises(ScheduleInvalid):
-        CurriculumSchedule(
-            (TrainingStage(4, PARAMS), TrainingStage(2, PARAMS), TrainingStage(None, PARAMS)), 2
-        )
-    with pytest.raises(ScheduleInvalid):
-        CurriculumSchedule(
-            (TrainingStage(None, PARAMS), TrainingStage(2, PARAMS)), 2
-        )
-    with pytest.raises(ScheduleInvalid):
-        StageParams(epochs=0, lr=0.1)
-
-
-def test_raw_only_schedule_allowed():
-    sched = CurriculumSchedule((TrainingStage(None, PARAMS),), 2)
-    assert len(sched.stages) == 1
+        stage_counts(1, 1)
 
 
 # -- curriculum_train ----------------------------------------------------------
 
-def test_degenerate_raw_only_equals_baseline(bench_series):
-    sched = CurriculumSchedule((TrainingStage(None, PARAMS),), 2)
-    result = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=3, patience=None)
-    base_state, base_trace = baseline_train(
-        bench_series, 5, 6, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, seed=3, patience=None
-    )
-    assert list(result.stage_traces[0]) == base_trace
-    np.testing.assert_array_equal(
-        result.final_state.network.hidden_weights, base_state.network.hidden_weights
-    )
-    np.testing.assert_array_equal(
-        result.final_state.network.output_bias, base_state.network.output_bias
-    )
-
-
-def test_same_seed_shares_initial_network(bench_series):
-    sched = default_schedule(12, 4, PARAMS)
-    result = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=9, patience=None)
-    base_init = init_network(5, 6, seed=9)
-    np.testing.assert_array_equal(result.initial_network.hidden_weights, base_init.hidden_weights)
-    np.testing.assert_array_equal(result.initial_network.output_weights, base_init.output_weights)
-
-
-def test_warm_start_continuity(bench_series):
-    """Replaying each stage from the previous stage's returned parameters
-    reproduces the recorded traces bitwise."""
+@pytest.mark.parametrize("counts", [stage_counts(12, 6), (None,)])
+def test_warm_start_continuity(bench_series, counts):
+    """Replaying each stage from the previous stage's returned parameters,
+    starting from the seed's initial network, reproduces the recorded traces
+    and handed-on states bitwise; a raw-only run is the baseline arm."""
     window, m, hidden, seed = 12, 5, 6, 5
-    sched = default_schedule(window, 6, PARAMS)
-    result = curriculum_train(bench_series, components(bench_series, window), m, sched, hidden, seed, patience=None)
+    comps = components(bench_series, window)
+    result = curriculum_train(bench_series, comps, m, counts, hidden, PARAMS, seed)
 
-    _, _, comps = decompose(bench_series, window)
     net = init_network(m, hidden, seed)
-    for idx, stage in enumerate(sched.stages):
-        source = (
-            bench_series.values if stage.is_raw else partial_reconstruction(comps, stage.p)
-        )
+    for idx, p in enumerate(counts):
+        source = bench_series.values if p is None else partial_reconstruction(comps, p)
         split = split_validation(build_embedding(source, m), 0.10, seed + idx)
-        state, trace = train(net, split, stage.params.epochs, stage.params.lr, stage.params.momentum, None)
+        state, trace = train(net, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
         assert tuple(trace) == result.stage_traces[idx]
+        np.testing.assert_array_equal(state.network.flat, result.states[idx].network.flat)
         net = state.network
+    assert result.final_state is result.states[-1]
 
 
-def test_stage_boundaries_partition_trace(bench_series):
-    sched = default_schedule(12, 4, PARAMS)
-    result = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=2, patience=None)
-    lengths = [len(t) for t in result.stage_traces]
-    assert list(result.stage_boundaries) == list(np.cumsum(lengths))
-    assert result.total_epochs == sum(lengths)
-    assert len(result.stage_traces) == len(sched.stages)
+def test_stage_traces_partition_epochs(bench_series):
+    counts = stage_counts(12, 4)
+    result = curriculum_train(bench_series, components(bench_series, 12), 5, counts, 6, PARAMS,
+                              seed=2)
+    assert result.total_epochs == sum(len(t) for t in result.stage_traces)
+    assert len(result.stage_traces) == len(result.states) == len(counts)
 
 
 def test_curriculum_bitwise_reproducible(bench_series):
-    sched = default_schedule(12, 4, PARAMS)
-    a = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=7, patience=None)
-    b = curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=7, patience=None)
+    counts = stage_counts(12, 4)
+    a = curriculum_train(bench_series, components(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
+    b = curriculum_train(bench_series, components(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
     assert a.stage_traces == b.stage_traces
     np.testing.assert_array_equal(
         a.final_state.network.hidden_weights, b.final_state.network.hidden_weights
@@ -146,20 +95,18 @@ def test_curriculum_bitwise_reproducible(bench_series):
 
 
 def test_curriculum_rejects_oversized_stage(bench_series):
-    sched = CurriculumSchedule(
-        (TrainingStage(2, PARAMS), TrainingStage(40, PARAMS), TrainingStage(None, PARAMS)), 2
-    )
-    with pytest.raises(ScheduleInvalid):
-        curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=0)
+    with pytest.raises(BadComponentCount):
+        curriculum_train(bench_series, components(bench_series, 12), 5, (2, 40, None), 6, PARAMS,
+                         seed=0)
 
 
-def test_config_echo_records_stages(bench_series):
-    sched = default_schedule(8, 2, PARAMS)
-    result = curriculum_train(bench_series, components(bench_series, 8), 4, sched, 5, seed=1, patience=None)
-    echo = result.config_echo
-    assert echo["window"] == 8 and echo["embedding"] == 4 and echo["seed"] == 1
-    assert echo["stages"][-1]["source"] == "raw"
-    assert echo["stages"][0]["source"] == 2
+@pytest.mark.parametrize("params", [
+    StageParams(epochs=0, lr=0.05), StageParams(epochs=10, lr=0.0),
+    StageParams(epochs=10, lr=0.05, momentum=1.0),
+])
+def test_curriculum_rejects_bad_stage_params(bench_series, params):
+    with pytest.raises(ValueError):
+        curriculum_train(bench_series, None, 5, (None,), 6, params, seed=0)
 
 
 # -- error_vs_pc_curve -----------------------------------------------------------
@@ -267,9 +214,9 @@ def test_comparison_rejects_oversized_horizon():
 
 
 def test_divergence_carries_stage_traces(bench_series):
-    sched = default_schedule(12, 6, StageParams(50, 1e6, 0.0))
     with pytest.raises(DivergenceDetected) as err:
-        curriculum_train(bench_series, components(bench_series, 12), 5, sched, 6, seed=0, patience=None)
+        curriculum_train(bench_series, components(bench_series, 12), 5, stage_counts(12, 6), 6,
+                         StageParams(50, 1e6, 0.0), seed=0)
     assert hasattr(err.value, "stage_traces")
     assert isinstance(err.value.stage_traces[-1], tuple)
 

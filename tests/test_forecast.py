@@ -8,12 +8,7 @@ from ssaforecast.errors import (
     NonFiniteOutput,
     ZeroVarianceTargets,
 )
-from ssaforecast.forecast import (
-    evaluate,
-    forecast_series,
-    multi_step_predict,
-    one_step_predict,
-)
+from ssaforecast.forecast import evaluate, forecast_series, multi_step_predict
 from ssaforecast.mlp import Network, forward, init_network, train
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import build_embedding, split_validation, standardize
@@ -36,19 +31,13 @@ def linear_net(coeffs, gain=1.0, eps=1e-8):
 
 def test_one_step_zero_network():
     net = Network(np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2)), np.zeros(1))
-    assert one_step_predict(net, np.array([5.0, -1.0, 2.0])) == 0.0
-
-
-def test_one_step_delegates_to_forward():
-    net = init_network(4, 6, seed=3)
-    w = SplitMix64(1).normals(4)
-    assert one_step_predict(net, w) == forward(net, w)
+    assert forward(net, np.array([5.0, -1.0, 2.0])) == 0.0
 
 
 def test_constructed_copy_net_hits_last_element():
     net = linear_net([0.0, 0.0, 1.0])
     w = np.array([0.3, -0.5, 0.8])
-    assert abs(one_step_predict(net, w) - 0.8) < 1e-6
+    assert abs(forward(net, w) - 0.8) < 1e-6
 
 
 def test_trained_copy_net_approximates_last_element():
@@ -58,7 +47,7 @@ def test_trained_copy_net_approximates_last_element():
     split = split_validation(ds, 0.10, 17)
     state, _ = train(init_network(3, 8, seed=2), split, epochs=5000, lr=0.1, momentum=0.9, patience=None)
     w = np.array([0.3, -0.5, 0.8])
-    assert abs(one_step_predict(state.network, w) - 0.8) < 1e-2
+    assert abs(forward(state.network, w) - 0.8) < 1e-2
 
 
 # -- multi_step_predict --------------------------------------------------------
@@ -66,7 +55,7 @@ def test_trained_copy_net_approximates_last_element():
 def test_horizon_one_equals_one_step():
     net = init_network(3, 5, seed=9)
     w = SplitMix64(4).normals(3)
-    assert multi_step_predict(net, w, 1)[0] == one_step_predict(net, w)
+    assert multi_step_predict(net, w, 1)[0] == forward(net, w)
 
 
 def test_contraction_halves_each_step():
@@ -164,7 +153,7 @@ def test_forecast_series_round_trip_and_timestamps():
     ts = 2000.0 + np.arange(60) / 12.0
     std = standardize(values)
     net = init_network(5, 6, seed=4)
-    result = forecast_series(net, std, 5, 10, std.mean, std.scale, ts)
+    result = forecast_series(net, std, 10, ts)
     assert result.horizon == 10
     np.testing.assert_allclose(
         result.standardized_predictions * std.scale + std.mean,
@@ -180,7 +169,7 @@ def test_forecast_series_rejects_zero_horizon():
     std = standardize(SplitMix64(1).normals(30))
     net = init_network(5, 3, seed=0)
     with pytest.raises(ValueError):
-        forecast_series(net, std, 5, 0, std.mean, std.scale, np.arange(30.0))
+        forecast_series(net, std, 0, np.arange(30.0))
 
 
 def test_forecast_peak():
@@ -188,7 +177,7 @@ def test_forecast_peak():
     values = rng.normals(40)
     std = standardize(values)
     net = init_network(3, 5, seed=11)
-    result = forecast_series(net, std, 3, 8, std.mean, std.scale, np.arange(40.0))
+    result = forecast_series(net, std, 8, np.arange(40.0))
     t, v = result.peak()
     i = int(np.argmax(result.predictions))
     assert v == result.predictions[i] and t == result.timestamps[i]

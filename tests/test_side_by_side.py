@@ -80,14 +80,15 @@ def diverge_in(monkeypatch, target):
 
         monkeypatch.setattr(curriculum, "error_vs_pc_curve", failing_curve)
         return
-    train = curriculum.curriculum_train
+    compare_seed = curriculum._compare_seed
 
-    def failing_train(series, components, embedding, schedule, hidden, seed, *args, **kwargs):
+    def failing_seed(*args):
+        *_, seed, fraction = args  # _compare_seed(..., seed, fraction)
         if seed == target:
             raise DivergenceDetected(f"injected divergence in seed {seed}", [])
-        return train(series, components, embedding, schedule, hidden, seed, *args, **kwargs)
+        return compare_seed(*args)
 
-    monkeypatch.setattr(curriculum, "curriculum_train", failing_train)
+    monkeypatch.setattr(curriculum, "_compare_seed", failing_seed)
 
 
 @pytest.mark.parametrize("target", ["curve", 0, 1, 2])
