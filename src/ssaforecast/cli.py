@@ -31,14 +31,15 @@ from .jsonio import dumps, write_csv, write_json
 from .series import check_embedding_size, load_csv, standardize
 
 
-def _load_series(config: RunConfig, check_embedding: bool = False):
+def _load_series(config: RunConfig, pairs: int = 0):
+    """The configured series, with the window and, for `pairs` > 0, the
+    embedding checked against its length before any work."""
     if not config.input_csv:
         raise ConfigError("config key 'input_csv' is required for this command")
     raw = load_csv(config.input_csv, config.value_column, config.time_column)
-    # re-validate size constraints against the loaded series before any work
     ssa.check_window_size(config.window, raw.n)
-    if check_embedding:
-        check_embedding_size(config.embedding, raw.n)
+    if pairs:
+        check_embedding_size(config.embedding, raw.n, pairs)
     return raw
 
 
@@ -87,25 +88,23 @@ def _write_train_outputs(out: Path, traces) -> None:
     write_csv(out / "trace.csv", ["stage", "epoch", "train_mse", "validation_mse"], rows)
 
 
-def _stage_final_errors(counts, traces) -> list[dict]:
-    """Stage-end errors: each stage hands its best-validation state to the
-    next, so report the trace entry that state corresponds to."""
-    out = []
-    for p, trace in zip(counts, traces):
-        best = min(trace, key=lambda e: e.validation_mse)
-        out.append(
-            {
-                "source": "raw" if p is None else p,
-                "epochs_run": len(trace),
-                "train_mse": best.train_mse,
-                "validation_mse": best.validation_mse,
-            }
-        )
-    return out
+def _stage_final_errors(counts, result: cur.CurriculumResult) -> list[dict]:
+    """Stage-end errors: the errors of the best-validation state each stage
+    hands on to the next."""
+    return [
+        {
+            "source": "raw" if p is None else p,
+            "epochs_run": len(trace),
+            "train_mse": state.train_mse,
+            "validation_mse": state.validation_mse,
+        }
+        for p, state, trace in zip(counts, result.states, result.stage_traces)
+    ]
 
 
 def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
-    raw = _load_series(config, check_embedding=True)
+    # one pair to train on and one to validate on
+    raw = _load_series(config, pairs=2)
     std = standardize(raw)
     out = Path(config.output_dir)
     params = _stage_params(config)
@@ -135,7 +134,7 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
             "mode": mode,
             "final_train_mse": state.train_mse,
             "final_validation_mse": state.validation_mse,
-            "stages": _stage_final_errors(counts, traces),
+            "stages": _stage_final_errors(counts, result),
             "stage_boundaries": list(itertools.accumulate(map(len, traces))),
             "total_epochs": total,
             "initial_network_sha256": _network_fingerprint(initial),
@@ -165,7 +164,7 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str, horizon: int |
         raise DimensionMismatch(
             f"network input_dim {net.input_dim} does not match config embedding {config.embedding}"
         )
-    raw = _load_series(config, check_embedding=True)
+    raw = _load_series(config, pairs=1)
     std = standardize(raw)
     steps = horizon if horizon is not None else config.horizon
     if horizon is not None:
@@ -205,7 +204,7 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str, horizon: int |
 
 
 def cmd_compare(config: RunConfig, echo: dict) -> int:
-    raw = _load_series(config, check_embedding=True)
+    raw = _load_series(config, pairs=1)
     std = standardize(raw)
     out = Path(config.output_dir)
     params = _stage_params(config)

@@ -35,7 +35,7 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _check_finite(values: np.ndarray) -> None:
+def _require_finite(values: np.ndarray) -> None:
     """Raise for the first non-finite entry in row-major order, if any."""
     finite = np.isfinite(values)
     if not finite.all():
@@ -74,7 +74,7 @@ def _render(obj, indent: int, level: int) -> str:
         return f'"{out}"'
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            _check_finite(obj)
+            _require_finite(obj)
             return _render_floats(obj.tolist(), indent, level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -142,7 +142,7 @@ def _row_format(types: tuple[type, ...]) -> tuple[str, list[int], list[int]]:
 def _csv_blocks(rows):
     """The CSV text of `rows`, a block of rows at a time."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        _check_finite(rows)
+        _require_finite(rows)
         template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS].tolist()

@@ -23,18 +23,33 @@ from .rng import SplitMix64
 HIDDEN_ACTIVATION = "tanh"
 OUTPUT_ACTIVATION = "identity"
 NETWORK_FORMAT_VERSION = 1
-
-
 _ARRAYS = ("hidden_weights", "hidden_biases", "output_weights", "output_bias")
 
 
+def _views(flat: np.ndarray, h: int, m: int) -> dict:
+    """The parameter arrays of an (H, m) network as views of one flat float64
+    vector.  The vector starts with the hidden layer as one row-major (H, m+1)
+    matrix [W | b] (`hidden_layer`), which multiplies inputs with a ones
+    column appended, then the output weights and the output bias.  The
+    trainer's gradients and momentum velocities are flat vectors in this
+    layout."""
+    k = h * (m + 1)
+    layer = flat[:k].reshape(h, m + 1)
+    return {
+        "flat": flat,
+        "hidden_layer": layer,
+        "hidden_weights": layer[:, :m],
+        "hidden_biases": layer[:, m],
+        "output_weights": flat[k : k + h].reshape(1, h),
+        "output_bias": flat[k + h :],
+    }
+
+
 @dataclass(frozen=True)
-class _Parameters:
-    """The four parameter arrays of an (H, m) network, held as views of one
-    flat float64 vector so that an update is one numpy call per operation.
-    The vector starts with the hidden layer as one row-major (H, m+1) matrix
-    [W | b] (`hidden_layer`), which multiplies inputs with a ones column
-    appended, then the output weights and the output bias."""
+class Network:
+    """Network parameters, held as views of one flat vector (`_views`) so
+    that an update is one numpy call per operation; every construction
+    rejects non-finite values."""
 
     hidden_weights: np.ndarray  # (H, m)
     hidden_biases: np.ndarray  # (H,)
@@ -50,33 +65,20 @@ class _Parameters:
             raise DimensionMismatch("layer shapes are inconsistent")
         if ob.shape != (1,):
             raise DimensionMismatch("output bias must hold exactly one value")
-        flat = np.concatenate([np.column_stack([hw, hb]).ravel(), ow.ravel(), ob])
-        self._bind(flat, h, m)
+        self._bind(np.concatenate([np.column_stack([hw, hb]).ravel(), ow.ravel(), ob]), h, m)
 
-    def _bind(self, flat: np.ndarray, h: int, m: int, **fields) -> None:
-        k = h * (m + 1)
-        layer = flat[:k].reshape(h, m + 1)
+    def _bind(self, flat: np.ndarray, h: int, m: int) -> None:
+        if not np.isfinite(flat).all():
+            raise ValueError("network parameters must be finite")
         # frozen: set the fields the way the dataclass __init__ would
-        self.__dict__.update(
-            flat=flat,
-            hidden_layer=layer,
-            hidden_weights=layer[:, :m],
-            hidden_biases=layer[:, m],
-            output_weights=flat[k : k + h].reshape(1, h),
-            output_bias=flat[k + h :],
-            **fields,
-        )
-        self._check()
-
-    def _check(self) -> None:
-        pass
+        self.__dict__.update(_views(flat, h, m))
 
     @classmethod
-    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int, **fields):
+    def _from_flat(cls, flat: np.ndarray, hidden_dim: int, input_dim: int) -> "Network":
         """Wrap a flat vector of the right length without copying it."""
-        obj = object.__new__(cls)
-        obj._bind(flat, hidden_dim, input_dim, **fields)
-        return obj
+        net = object.__new__(cls)
+        net._bind(flat, hidden_dim, input_dim)
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -85,27 +87,6 @@ class _Parameters:
     @property
     def hidden_dim(self) -> int:
         return self.hidden_weights.shape[0]
-
-
-@dataclass(frozen=True)
-class Network(_Parameters):
-    """Network parameters; every construction rejects non-finite values."""
-
-    def _check(self) -> None:
-        if not np.isfinite(self.flat).all():
-            raise ValueError("network parameters must be finite")
-
-
-@dataclass(frozen=True)
-class Gradient(_Parameters):
-    """Parameter-shaped gradient (or momentum velocity).  A gradient from
-    backprop_gradient also carries the batch MSE it was taken at."""
-
-    loss: float = math.nan
-
-    @staticmethod
-    def zeros_like(net: Network) -> "Gradient":
-        return Gradient._from_flat(np.zeros_like(net.flat), net.hidden_dim, net.input_dim)
 
 
 def init_network(input_dim: int, hidden_dim: int, seed: int) -> Network:
@@ -166,9 +147,10 @@ def _mean_square(err: np.ndarray) -> float:
     return float(np.add.reduce(err**2, axis=None) / err.size)
 
 
-def backprop_gradient(net: Network, inputs, targets) -> Gradient:
-    """Exact gradient of the batch MSE with respect to every parameter; the
-    batch MSE itself, from the same forward pass, is the gradient's `loss`."""
+def backprop_gradient(net: Network, inputs, targets) -> tuple[float, np.ndarray]:
+    """(loss, grad): the batch MSE and its exact gradient with respect to
+    every parameter, from one forward pass; `grad` is a flat vector in the
+    network's layout (`_views`)."""
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -184,22 +166,22 @@ def backprop_gradient(net: Network, inputs, targets) -> Gradient:
     err = h @ net.output_weights[0]
     err += net.output_bias[0]
     err -= t  # pred - t
-    grad = Gradient._from_flat(
-        np.empty_like(net.flat), net.hidden_dim, net.input_dim, loss=_mean_square(err)
-    )
+    loss = _mean_square(err)
+    grad = np.empty_like(net.flat)
+    g = _views(grad, net.hidden_dim, net.input_dim)
     # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
     dout = err
     dout *= 2.0 / n
-    np.matmul(dout, h, out=grad.output_weights[0])
-    grad.output_bias[0] = dout.sum()
+    np.matmul(dout, h, out=g["output_weights"][0])
+    g["output_bias"][0] = dout.sum()
     # dz = outer(dout, w_out) * (1 - h^2), with h overwritten by 1 - h^2
     dz = dout[:, None] * net.output_weights[0]  # (n, H)
     h *= h
     np.subtract(1.0, h, out=h)
     dz *= h
     # the ones column of [x|1] makes the last column the hidden-bias gradient
-    np.matmul(dz.T, x1, out=grad.hidden_layer)
-    return grad
+    np.matmul(dz.T, x1, out=g["hidden_layer"])
+    return loss, grad
 
 
 @dataclass(frozen=True)
@@ -208,9 +190,6 @@ class TrainState:
     epoch: int
     train_mse: float
     validation_mse: float
-    learning_rate: float
-    momentum: float
-    velocity: Gradient
 
 
 class TraceEntry(NamedTuple):
@@ -220,17 +199,17 @@ class TraceEntry(NamedTuple):
 
 
 def gd_step(
-    net: Network, velocity: Gradient, grad: Gradient, lr: float, momentum: float
-) -> tuple[Network, Gradient]:
-    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v.
+    net: Network, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float
+) -> tuple[Network, np.ndarray]:
+    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v, with
+    v and g flat vectors in the network's layout.
 
     Returns the new network and velocity; raises ValueError if the updated
     parameters are not finite."""
-    if grad.hidden_weights.shape != net.hidden_weights.shape:
-        raise DimensionMismatch("gradient shape does not match the network")
-    h, m = net.hidden_weights.shape
-    v = momentum * velocity.flat - lr * grad.flat
-    return Network._from_flat(net.flat + v, h, m), Gradient._from_flat(v, h, m)
+    if grad.shape != net.flat.shape:
+        raise DimensionMismatch("gradient length does not match the network")
+    v = momentum * velocity - lr * grad
+    return Network._from_flat(net.flat + v, net.hidden_dim, net.input_dim), v
 
 
 def train(
@@ -259,7 +238,7 @@ def train(
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
     inputs, targets = split.train.inputs, split.train.targets
-    velocity = Gradient.zeros_like(net)
+    velocity = np.zeros_like(net.flat)
     trace: list[TraceEntry] = []
     best_epoch = 0
     stale = 0
@@ -268,9 +247,9 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         # the gradient pass at each epoch's stepped parameters also gives that
         # epoch's training error, and its gradient drives the next epoch's step
-        grad = backprop_gradient(net, inputs, targets)
+        _, grad = backprop_gradient(net, inputs, targets)
         for epoch in range(1, epochs + 1):
-            if not np.isfinite(grad.flat).all():
+            if not np.isfinite(grad).all():
                 raise DivergenceDetected(
                     f"gradient became non-finite at epoch {epoch}", trace=trace
                 )
@@ -280,8 +259,7 @@ def train(
                 raise DivergenceDetected(
                     f"parameters became non-finite at epoch {epoch}", trace=trace
                 ) from None
-            grad = backprop_gradient(net, inputs, targets)
-            train_err = grad.loss
+            train_err, grad = backprop_gradient(net, inputs, targets)
             if not math.isfinite(train_err):
                 raise DivergenceDetected(
                     f"training error became non-finite at epoch {epoch}", trace=trace
@@ -292,7 +270,7 @@ def train(
             trace.append(TraceEntry(epoch, train_err, val_err))
             if best_epoch == 0 or val_err < best_val:
                 best_epoch, best_train, best_val = epoch, train_err, val_err
-                best_net, best_velocity = net, velocity
+                best_net = net
                 stale = 0
             else:
                 stale += 1
@@ -300,16 +278,7 @@ def train(
                     break
             if train_err == 0.0:
                 break
-    state = TrainState(
-        network=best_net,
-        epoch=best_epoch,
-        train_mse=best_train,
-        validation_mse=best_val,
-        learning_rate=lr,
-        momentum=momentum,
-        velocity=best_velocity,
-    )
-    return state, trace
+    return TrainState(best_net, best_epoch, best_train, best_val), trace
 
 
 def network_to_dict(net: Network) -> dict:

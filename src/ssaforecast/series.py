@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     BadFraction,
     EmbeddingTooLarge,
+    EmptyInput,
     NonMonotonicTime,
     NonUniformSpacing,
     ParseError,
@@ -31,7 +32,9 @@ def _as_values(series) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RawSeries:
-    """Uniformly sampled scalar observations in original units."""
+    """Uniformly sampled scalar observations in original units.  Time-order
+    faults are reported by 1-based sample number, which is the data row
+    number of a CSV file."""
 
     timestamps: np.ndarray
     values: np.ndarray
@@ -44,13 +47,13 @@ class RawSeries:
         if ts.ndim != 1 or vals.ndim != 1 or ts.size != vals.size:
             raise ValueError("timestamps and values must be 1-D sequences of equal length")
         if ts.size < 2:
-            raise ValueError("need at least two samples")
+            raise EmptyInput(f"need at least two samples, got {ts.size}")
         if not np.all(np.isfinite(ts)) or not np.all(np.isfinite(vals)):
             raise ValueError("timestamps and values must be finite")
         steps = np.diff(ts)
         bad = np.nonzero(steps <= 0.0)[0]
         if bad.size:
-            raise NonMonotonicTime(int(bad[0]) + 1)
+            raise NonMonotonicTime(int(bad[0]) + 2)
         step = (ts[-1] - ts[0]) / (ts.size - 1)
         if np.max(np.abs(steps - step)) > SPACING_RTOL * abs(step):
             raise NonUniformSpacing(
@@ -60,10 +63,6 @@ class RawSeries:
     @property
     def n(self) -> int:
         return self.values.size
-
-    @property
-    def step(self) -> float:
-        return float((self.timestamps[-1] - self.timestamps[0]) / (self.n - 1))
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,8 @@ def load_csv(path, value_column: str, time_column: str) -> RawSeries:
     """Read a comma-delimited UTF-8 file with a header row.
 
     Rows are kept in file order; both named columns must parse as finite
-    reals and timestamps must be strictly increasing (duplicates rejected).
+    reals, and RawSeries checks that there are at least two rows and that the
+    timestamps are strictly increasing (duplicates rejected) and uniform.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -111,8 +111,6 @@ def load_csv(path, value_column: str, time_column: str) -> RawSeries:
                 if not math.isfinite(x):
                     raise ParseError(i, col)
                 out.append(x)
-            if len(times) >= 2 and times[-1] <= times[-2]:
-                raise NonMonotonicTime(i)
     return RawSeries(np.array(times), np.array(values))
 
 
@@ -157,11 +155,16 @@ class EmbeddingDataset:
         return EmbeddingDataset(self.inputs[indices], self.targets[indices], self.m)
 
 
-def check_embedding_size(m: int, n: int) -> None:
-    """Reject an embedding that leaves no (window, target) pair in an
-    n-sample series."""
+def check_embedding_size(m: int, n: int, pairs: int = 1) -> None:
+    """Reject an embedding that leaves fewer than `pairs` (window, target)
+    pairs in an n-sample series."""
     if m >= n:
         raise EmbeddingTooLarge(f"embedding dimension {m} needs a series longer than {n}")
+    if n - m < pairs:
+        raise EmbeddingTooLarge(
+            f"embedding dimension {m} leaves {n - m} (window, target) pairs in {n} "
+            f"samples; at least {pairs} are needed"
+        )
 
 
 def build_embedding(series, m: int) -> EmbeddingDataset:
@@ -181,8 +184,6 @@ class SplitDataset:
 
     train: EmbeddingDataset
     validation: EmbeddingDataset
-    seed: int
-    fraction: float
     train_indices: np.ndarray
     validation_indices: np.ndarray
 
@@ -207,8 +208,6 @@ def split_validation(dataset: EmbeddingDataset, fraction: float, seed: int) -> S
     return SplitDataset(
         train=dataset.subset(train_idx),
         validation=dataset.subset(val_idx),
-        seed=seed,
-        fraction=fraction,
         train_indices=train_idx,
         validation_indices=val_idx,
     )

@@ -1,18 +1,21 @@
 """Reference trainer: the full-batch momentum training loop as first written,
-one TrainState and Network rebuilt per epoch and three forward passes per
+one state record and Network rebuilt per epoch and three forward passes per
 epoch (one inside the gradient, one for the training error after the step,
 one for the validation error).
 
 The functions below are that loop, its update step, its gradient, its
 forward pass (hidden biases added after the matmul, not folded into it) and
 its error measure verbatim, renamed with a ``reference_`` prefix and made to
-call one another.  They share only the parameter containers and the error
-classes with ssaforecast.mlp, so tests can check the lean trainer against
-this loop.
+call one another.  The gradient and velocity keep their four named arrays
+(`ReferenceGradient`), and the state record keeps the learning rate, momentum
+and velocity (`ReferenceState`).  They share only the Network class, the
+trace entry and the error classes with ssaforecast.mlp, so tests can check
+the lean trainer against this loop.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +26,34 @@ from ssaforecast.errors import (
     EmptyInput,
     LengthMismatch,
 )
-from ssaforecast.mlp import Gradient, Network, TraceEntry, TrainState
+from ssaforecast.mlp import Network, TraceEntry
+
+
+class ReferenceGradient(NamedTuple):
+    """Parameter-shaped gradient (or momentum velocity)."""
+
+    hidden_weights: np.ndarray
+    hidden_biases: np.ndarray
+    output_weights: np.ndarray
+    output_bias: np.ndarray
+
+    @staticmethod
+    def zeros_like(net: Network) -> "ReferenceGradient":
+        return ReferenceGradient(
+            np.zeros_like(net.hidden_weights), np.zeros_like(net.hidden_biases),
+            np.zeros_like(net.output_weights), np.zeros_like(net.output_bias),
+        )
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    network: Network
+    epoch: int
+    train_mse: float
+    validation_mse: float
+    learning_rate: float
+    momentum: float
+    velocity: ReferenceGradient
 
 
 def reference_forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -45,7 +75,7 @@ def reference_mse(predictions, targets) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def reference_backprop_gradient(net: Network, inputs, targets) -> Gradient:
+def reference_backprop_gradient(net: Network, inputs, targets) -> ReferenceGradient:
     """Exact gradient of the batch MSE with respect to every parameter."""
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -64,15 +94,15 @@ def reference_backprop_gradient(net: Network, inputs, targets) -> Gradient:
     dz = np.outer(dout, net.output_weights[0]) * (1.0 - h * h)  # (n, H)
     g_hw = dz.T @ x  # (H, m)
     g_hb = dz.sum(axis=0)
-    return Gradient(g_hw, g_hb, g_ow, g_ob)
+    return ReferenceGradient(g_hw, g_hb, g_ow, g_ob)
 
 
-def reference_gd_step(state: TrainState, grad: Gradient) -> TrainState:
+def reference_gd_step(state: ReferenceState, grad: ReferenceGradient) -> ReferenceState:
     """One momentum update: v <- momentum*v - lr*g; theta <- theta + v."""
     net, vel = state.network, state.velocity
     if grad.hidden_weights.shape != net.hidden_weights.shape:
         raise DimensionMismatch("gradient shape does not match the network")
-    new_vel = Gradient(
+    new_vel = ReferenceGradient(
         state.momentum * vel.hidden_weights - state.learning_rate * grad.hidden_weights,
         state.momentum * vel.hidden_biases - state.learning_rate * grad.hidden_biases,
         state.momentum * vel.output_weights - state.learning_rate * grad.output_weights,
@@ -94,7 +124,7 @@ def reference_train(
     lr: float = 0.01,
     momentum: float = 0.9,
     patience: int | None = 200,
-) -> tuple[TrainState, list[TraceEntry]]:
+) -> tuple[ReferenceState, list[TraceEntry]]:
     """Full-batch gradient descent on the training pairs.
 
     Each epoch takes one step and then records (epoch, train MSE, validation
@@ -112,17 +142,17 @@ def reference_train(
         raise ValueError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
-    state = TrainState(
+    state = ReferenceState(
         network=net,
         epoch=0,
         train_mse=math.inf,
         validation_mse=math.inf,
         learning_rate=lr,
         momentum=momentum,
-        velocity=Gradient.zeros_like(net),
+        velocity=ReferenceGradient.zeros_like(net),
     )
     trace: list[TraceEntry] = []
-    best: TrainState | None = None
+    best: ReferenceState | None = None
     stale = 0
     for epoch in range(1, epochs + 1):
         # overflow here is not an error condition: it surfaces as a

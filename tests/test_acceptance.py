@@ -139,18 +139,16 @@ def test_criterion_4_gradient_correctness():
         net = random_network(m, h, seed=400000 + case, scale=1.0)
         inputs = rng.normals(batch * m).reshape(batch, m)
         targets = forward_batch(net, inputs) + 0.3 * rng.normals(batch)
-        got = backprop_gradient(net, inputs, targets)
+        _, got = backprop_gradient(net, inputs, targets)
         want = finite_difference_gradient(net, inputs, targets, step=1e-6)
-        for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
-            g = getattr(got, name)
-            w = getattr(want, name)
-            scale = np.maximum(np.abs(g), np.abs(w))
-            small = scale < 1e-8
-            assert np.all(np.abs(g - w)[small] < 1e-8)
-            if np.any(~small):
-                rel = np.max((np.abs(g - w) / scale)[~small])
-                worst_rel = max(worst_rel, float(rel))
-                assert rel < 1e-5
+        assert got.shape == want.shape
+        scale = np.maximum(np.abs(got), np.abs(want))
+        small = scale < 1e-8
+        assert np.all(np.abs(got - want)[small] < 1e-8)
+        if np.any(~small):
+            rel = np.max((np.abs(got - want) / scale)[~small])
+            worst_rel = max(worst_rel, float(rel))
+            assert rel < 1e-5
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0
     report(4, ok, f"100 instances, worst relative error {worst_rel:.2e} (tol 1e-5), {elapsed:.1f}s (< 10s)")

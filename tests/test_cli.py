@@ -306,15 +306,6 @@ def test_compare_singleton_seed(workdir):
 
 # -- error paths at the CLI boundary ------------------------------------------------
 
-def test_zero_variance_exit_1(workdir, capsys):
-    Path("const.csv").write_text(
-        "time,value\n" + "\n".join(f"{i},5.0" for i in range(40)) + "\n"
-    )
-    code = main(["decompose", "--config", "golden_config.json", "--set", "input_csv=const.csv"])
-    assert code == 1
-    assert "ZeroVariance" in capsys.readouterr().err
-
-
 OVERSIZED_WINDOW = ("window=100", "WindowTooLarge: window 100 exceeds half the series length 120")
 OVERSIZED_EMBEDDING = (
     "embedding=200", "EmbeddingTooLarge: embedding dimension 200 needs a series longer than 120")
@@ -322,20 +313,52 @@ EMBEDDING_COMMANDS = (
     ["train", "--mode", "curriculum"], ["train", "--mode", "baseline"],
     ["predict", "--network", "net.json"], ["compare"],
 )
+# a 4-sample series with window 2 and embedding 3 leaves one (window, target)
+# pair: nothing to split for training, and no room for compare's holdout
+ONE_PAIR = "input_csv=four.csv window=2 embedding=3"
+ONE_PAIR_TRAIN_ERROR = ("EmbeddingTooLarge: embedding dimension 3 leaves 1 (window, target) "
+                        "pairs in 4 samples; at least 2 are needed")
+ONE_PAIR_COMPARE_ERROR = ("BadHorizon: holdout horizon 50 leaves too little of the 4 samples "
+                          "for training with embedding 3")
+
+
+def run_before_work(command, overrides, width):
+    """Run `command` on the golden config with space-separated `overrides`;
+    net.json holds a network `width` inputs wide for predict."""
+    Path("net.json").write_text(json.dumps(network_to_dict(init_network(width, 5, 0))))
+    Path("four.csv").write_text("time,value\n0,1.0\n1,3.0\n2,2.0\n3,5.0\n")
+    sets = [arg for override in overrides.split() for arg in ("--set", override)]
+    code = main([command[0], "--config", "golden_config.json", *command[1:], *sets])
+    assert not Path("out").exists() or not any(Path("out").iterdir())
+    return code
 
 
 @pytest.mark.parametrize("command, override, error", [
     *[(command, *OVERSIZED_WINDOW) for command in (["decompose"], *EMBEDDING_COMMANDS)],
     *[(command, *OVERSIZED_EMBEDDING) for command in EMBEDDING_COMMANDS],
+    *[(command, ONE_PAIR, ONE_PAIR_TRAIN_ERROR) for command in EMBEDDING_COMMANDS[:2]],
+    (["compare"], ONE_PAIR, ONE_PAIR_COMPARE_ERROR),
 ])
 def test_oversized_size_exit_2_before_work(workdir, capsys, command, override, error):
     # a network as wide as the configured embedding, so predict reaches the series
     width = 200 if override == OVERSIZED_EMBEDDING[0] else 4
-    Path("net.json").write_text(json.dumps(network_to_dict(init_network(width, 5, 0))))
-    code = main([command[0], "--config", "golden_config.json", *command[1:], "--set", override])
-    assert code == 2
+    assert run_before_work(command, override, width) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
-    assert not Path("out").exists() or not any(Path("out").iterdir())
+
+
+CONSTANT = "time,value\n" + "\n".join(f"{i},5.0" for i in range(40)) + "\n"
+
+
+@pytest.mark.parametrize("command", [["decompose"], *EMBEDDING_COMMANDS])
+@pytest.mark.parametrize("text, error", [
+    (CONSTANT, "ZeroVariance: series is constant; cannot standardize"),
+    ("time,value\n", "EmptyInput: need at least two samples, got 0"),
+    ("time,value\n1,2\n", "EmptyInput: need at least two samples, got 1"),
+], ids=["constant", "header-only", "one-row"])
+def test_unusable_series_exit_1_before_work(workdir, capsys, command, text, error):
+    Path("data.csv").write_text(text)
+    assert run_before_work(command, "input_csv=data.csv", 4) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_divergence_exit_1_with_partial_trace(workdir, capsys):

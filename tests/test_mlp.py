@@ -13,7 +13,6 @@ from ssaforecast.errors import (
     LengthMismatch,
 )
 from ssaforecast.mlp import (
-    Gradient,
     Network,
     backprop_gradient,
     forward,
@@ -143,46 +142,39 @@ def test_mse_errors():
 # -- backprop_gradient -----------------------------------------------------------
 
 def finite_difference_gradient(net, inputs, targets, step=1e-6):
-    """Central differences on the batch MSE, one parameter at a time."""
-    arrays = ("hidden_weights", "hidden_biases", "output_weights", "output_bias")
+    """Central differences on the batch MSE, one flat parameter entry at a
+    time; a flat vector in the network's layout, like backprop_gradient's."""
 
-    def loss(params):
-        trial = Network(*params)
+    def loss(flat):
+        trial = Network._from_flat(flat, net.hidden_dim, net.input_dim)
         return mse(forward_batch(trial, inputs), targets)
 
-    grads = []
-    base = [getattr(net, name).copy() for name in arrays]
-    for a_idx, arr in enumerate(base):
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = [p.copy() for p in base]
-            minus = [p.copy() for p in base]
-            plus[a_idx][idx] += step
-            minus[a_idx][idx] -= step
-            g[idx] = (loss(plus) - loss(minus)) / (2.0 * step)
-        grads.append(g)
-    return Gradient(*grads)
+    grad = np.zeros_like(net.flat)
+    for idx in range(grad.size):
+        plus = net.flat.copy()
+        minus = net.flat.copy()
+        plus[idx] += step
+        minus[idx] -= step
+        grad[idx] = (loss(plus) - loss(minus)) / (2.0 * step)
+    return grad
 
 
-def assert_gradients_close(got: Gradient, want: Gradient, rtol=1e-5, atol=1e-8):
-    for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
-        g = getattr(got, name)
-        w = getattr(want, name)
-        scale = np.maximum(np.abs(g), np.abs(w))
-        small = scale < atol
-        np.testing.assert_array_less(np.abs(g - w)[small], atol)
-        big = ~small
-        assert np.all(np.abs(g - w)[big] <= rtol * scale[big]), name
+def assert_gradients_close(got, want, rtol=1e-5, atol=1e-8):
+    assert got.shape == want.shape
+    scale = np.maximum(np.abs(got), np.abs(want))
+    small = scale < atol
+    np.testing.assert_array_less(np.abs(got - want)[small], atol)
+    big = ~small
+    assert np.all(np.abs(got - want)[big] <= rtol * scale[big])
 
 
 def test_gradient_zero_at_perfect_fit():
     # zero network predicts 0; zero targets make the fit exact
     net = zero_network(3, 4)
-    grad = backprop_gradient(net, np.ones((5, 3)), np.zeros(5))
-    for name in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
-        assert np.all(getattr(grad, name) == 0.0)
+    loss, grad = backprop_gradient(net, np.ones((5, 3)), np.zeros(5))
+    assert loss == 0.0
+    assert grad.shape == net.flat.shape
+    assert np.all(grad == 0.0)
 
 
 def test_gradient_matches_finite_differences():
@@ -194,7 +186,7 @@ def test_gradient_matches_finite_differences():
         net = random_network(m, h, seed=1000 + case, scale=1.2)
         inputs = rng.normals(n * m).reshape(n, m)
         targets = rng.normals(n)
-        got = backprop_gradient(net, inputs, targets)
+        _, got = backprop_gradient(net, inputs, targets)
         want = finite_difference_gradient(net, inputs, targets)
         assert_gradients_close(got, want)
 
@@ -204,8 +196,9 @@ def test_output_bias_gradient_single_sample():
     x = np.array([[0.4, -0.7]])
     t = np.array([0.2])
     a = forward(net, x[0])
-    grad = backprop_gradient(net, x, t)
-    assert grad.output_bias[0] == pytest.approx(2.0 * (a - t[0]), rel=1e-12)
+    _, grad = backprop_gradient(net, x, t)
+    # the output bias is the last entry of the flat layout
+    assert grad[-1] == pytest.approx(2.0 * (a - t[0]), rel=1e-12)
 
 
 def test_gradient_loss_is_batch_mse():
@@ -213,8 +206,8 @@ def test_gradient_loss_is_batch_mse():
     rng = SplitMix64(22)
     inputs = rng.normals(30).reshape(10, 3)
     targets = rng.normals(10)
-    grad = backprop_gradient(net, inputs, targets)
-    assert grad.loss == mse(forward_batch(net, inputs), targets)
+    loss, _ = backprop_gradient(net, inputs, targets)
+    assert loss == mse(forward_batch(net, inputs), targets)
 
 
 def test_parameter_arrays_are_views_of_flat_vector():
@@ -237,7 +230,7 @@ def test_network_rejects_non_finite_and_bad_shapes():
     with pytest.raises(DimensionMismatch):
         Network(np.zeros((2, 1)), np.zeros(1), np.zeros((1, 2)), np.zeros(1))
     with pytest.raises(DimensionMismatch):
-        Gradient(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(2))
+        Network(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(2))
 
 
 def test_gradient_empty_batch():
@@ -249,7 +242,7 @@ def test_gradient_empty_batch():
 
 def test_gd_step_fixed_point():
     net = random_network(2, 2, seed=3)
-    zero = Gradient.zeros_like(net)
+    zero = np.zeros_like(net.flat)
     stepped, _ = gd_step(net, zero, zero, lr=0.1, momentum=0.0)
     np.testing.assert_array_equal(stepped.hidden_weights, net.hidden_weights)
     np.testing.assert_array_equal(stepped.output_bias, net.output_bias)
@@ -257,25 +250,27 @@ def test_gd_step_fixed_point():
 
 def test_gd_step_momentum_zero_is_sgd():
     net = random_network(2, 2, seed=4)
-    grad = Gradient(
+    grad = Network(
         np.full((2, 2), 0.5), np.full(2, -0.25), np.full((1, 2), 1.0), np.array([2.0])
-    )
-    stepped, _ = gd_step(net, Gradient.zeros_like(net), grad, lr=0.1, momentum=0.0)
+    ).flat
+    stepped, _ = gd_step(net, np.zeros_like(net.flat), grad, lr=0.1, momentum=0.0)
     np.testing.assert_allclose(
         stepped.hidden_weights, net.hidden_weights - 0.05, atol=1e-15
     )
+    np.testing.assert_allclose(stepped.hidden_biases, net.hidden_biases + 0.025, atol=1e-15)
+    np.testing.assert_allclose(stepped.output_weights, net.output_weights - 0.1, atol=1e-15)
     np.testing.assert_allclose(stepped.output_bias, net.output_bias - 0.2, atol=1e-15)
 
 
 def test_gd_step_quadratic_hand_iteration():
     # f(w) = w^2 on the output bias alone: w <- w - 0.1 * 2w = 0.8 w
     net = Network(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([1.0]))
-    velocity = Gradient.zeros_like(net)
+    velocity = np.zeros_like(net.flat)
     for _ in range(3):
         w = net.output_bias[0]
-        grad = Gradient(
+        grad = Network(
             np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([2.0 * w])
-        )
+        ).flat
         net, velocity = gd_step(net, velocity, grad, lr=0.1, momentum=0.0)
     assert net.output_bias[0] == pytest.approx(0.512, abs=1e-15)
 
@@ -283,24 +278,25 @@ def test_gd_step_quadratic_hand_iteration():
 def test_gd_step_momentum_accumulates_velocity():
     # constant gradient g: v1 = -lr g, v2 = momentum v1 - lr g
     net = zero_network(1, 1)
-    grad = Gradient(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.ones(1))
-    net, velocity = gd_step(net, Gradient.zeros_like(net), grad, lr=0.1, momentum=0.5)
+    grad = Network(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.ones(1)).flat
+    net, velocity = gd_step(net, np.zeros_like(net.flat), grad, lr=0.1, momentum=0.5)
     net, velocity = gd_step(net, velocity, grad, lr=0.1, momentum=0.5)
-    np.testing.assert_allclose(velocity.flat, -0.15, rtol=1e-15)
+    assert velocity.shape == net.flat.shape
+    np.testing.assert_allclose(velocity, -0.15, rtol=1e-15)
     np.testing.assert_allclose(net.flat, -0.25, rtol=1e-15)
 
 
 def test_gd_step_rejects_non_finite_parameters():
     net = zero_network(1, 1)
-    grad = Gradient(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.array([-1e308]))
+    grad = Network(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.array([-1e308])).flat
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
-        gd_step(net, Gradient.zeros_like(net), grad, lr=10.0, momentum=0.0)
+        gd_step(net, np.zeros_like(net.flat), grad, lr=10.0, momentum=0.0)
 
 
 def test_gd_step_rejects_mismatched_gradient():
     net = zero_network(2, 3)
     with pytest.raises(DimensionMismatch):
-        gd_step(net, Gradient.zeros_like(net), Gradient.zeros_like(zero_network(3, 2)), 0.1, 0.0)
+        gd_step(net, np.zeros_like(net.flat), zero_network(3, 2).flat, 0.1, 0.0)
 
 
 # -- train ------------------------------------------------------------------------

@@ -58,6 +58,16 @@ def test_load_csv_duplicate_timestamp(tmp_path):
     assert err.value.row == 2
 
 
+def test_raw_series_reports_sample_number():
+    # the same 1-based numbering as a CSV's data rows
+    with pytest.raises(NonMonotonicTime) as err:
+        RawSeries([1.0, 1.0], [2.0, 3.0])
+    assert err.value.row == 2
+    with pytest.raises(NonMonotonicTime) as err:
+        RawSeries([0.0, 1.0, 2.0, 1.5], [0.0, 0.0, 0.0, 0.0])
+    assert err.value.row == 4
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv", "value", "time")
