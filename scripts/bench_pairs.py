@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent commit against this checkout.
+
+    python3 scripts/bench_pairs.py PARENT_REF --workload W [--pairs 10] [--seed 1] [--seconds S]
+
+Exports PARENT_REF's committed files into a temporary directory, then runs
+``bench/run.py --trace 0`` of each side alternately, `--pairs` times, with
+the side that goes first alternating from pair to pair.  Pair i gives both
+sides the workload seed `--seed` + i; `--seconds` defaults to BENCHMARK.json's
+``run_seconds``.  For each end-to-end metric in BENCHMARK.json it prints
+every pair, each side's median and quartiles, the number of pairs the
+checkout wins (ties count for neither side), and whether the gap between the
+medians exceeds the parent's interquartile range.  A gain may be claimed
+only with at least nine wins in ten and that gap; a median worse than the
+parent's by more than the metric's bound is a regression.
+
+The parent is exported with ``git archive`` rather than checked out as a
+worktree, so the run registers nothing in the repository and leaves nothing
+behind.  Nothing under bench/ and not BENCHMARK.json is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def export(ref: str, dest: Path) -> None:
+    """The committed files of `ref` under `dest`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                             check=True, capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The metrics line of one untraced benchmark run; exits on a failed run."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, statistics.median(values), q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", metavar="PARENT_REF")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    metrics = spec["end_to_end"]
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        export(args.parent, parent)
+        sides = {"parent": parent, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_bench(sides[side], args.workload, args.seed + i, seconds))
+            print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first) done",
+                  file=sys.stderr)
+
+    print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s per run, parent {args.parent}")
+    for side, results in runs.items():
+        failed = sum(r["failed"] for r in results)
+        attempted = sum(r["attempted"] for r in results)
+        print(f"  {side}: {failed} of {attempted} operations failed")
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        before = [r["metrics"][name]["value"] for r in runs["parent"]]
+        after = [r["metrics"][name]["value"] for r in runs["change"]]
+        wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
+        p1, pm, p3 = quartiles(before)
+        c1, cm, c3 = quartiles(after)
+        change = (cm - pm) / pm if pm else 0.0
+        worse = change if lower else -change
+        print(f"\n{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:g})")
+        for i, (b, a) in enumerate(zip(before, after)):
+            print(f"  seed {args.seed + i:3d}: parent {b:.6g}  change {a:.6g}")
+        print(f"  parent median {pm:.6g} [q1 {p1:.6g}, q3 {p3:.6g}]")
+        print(f"  change median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]  ({change:+.1%})")
+        print(f"  change wins {wins}/{args.pairs}; |median gap| {abs(cm - pm):.4g} vs parent "
+              f"IQR {p3 - p1:.4g}")
+        gain = wins >= 0.9 * args.pairs and abs(cm - pm) > p3 - p1 and worse < 0
+        verdict = "gain" if gain else "regression" if worse > metric["bound"] else "no gain shown"
+        print(f"  verdict: {verdict}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

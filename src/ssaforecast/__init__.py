@@ -10,7 +10,7 @@ from .curriculum import (
     stage_counts,
 )
 from .forecast import ForecastMetrics, ForecastResult, evaluate, forecast_series, multi_step_predict
-from .mlp import Network, backprop_gradient, forward, gd_step, init_network, mse, train
+from .mlp import Batch, Network, backprop_gradient, forward, gd_step, init_network, mse, train
 from .series import (
     EmbeddingDataset,
     RawSeries,

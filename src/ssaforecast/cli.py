@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -288,21 +289,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config, echo = load_config(args.config, args.overrides)
-        if args.command == "decompose":
-            return cmd_decompose(config, echo)
-        if args.command == "train":
-            return cmd_train(config, echo, args.mode)
-        if args.command == "predict":
-            return cmd_predict(config, echo, args.network, args.horizon)
-        return cmd_compare(config, echo)
-    except ValidationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeFailure, FileNotFoundError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line, without the module path and source line of Python's default
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config, echo = load_config(args.config, args.overrides)
+            if args.command == "decompose":
+                return cmd_decompose(config, echo)
+            if args.command == "train":
+                return cmd_train(config, echo, args.mode)
+            if args.command == "predict":
+                return cmd_predict(config, echo, args.network, args.horizon)
+            return cmd_compare(config, echo)
+        except ValidationError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        except (RuntimeFailure, FileNotFoundError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry() -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadHorizon, BadStep, DivergenceDetected, RuntimeFailure
 from .forecast import evaluate, multi_step_predict
-from .mlp import TraceEntry, TrainState, forward_batch, init_network, mse, train
+from .mlp import Batch, TraceEntry, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
 from .ssa import ComponentSet, decompose, partial_reconstruction
 
@@ -134,9 +134,9 @@ def error_vs_pc_curve(
     _, _, components = decompose(series, window)
     raw = split_validation(build_embedding(series.values, embedding), fraction, seed)
 
-    def score(net) -> tuple[float, float]:
-        return (mse(forward_batch(net, raw.train.inputs), raw.train.targets),
-                mse(forward_batch(net, raw.validation.inputs), raw.validation.targets))
+    def score(net) -> tuple[float, ...]:
+        return tuple(mse(forward_batch(net, Batch(d.inputs, None, hidden)), d.targets)
+                     for d in (raw.train, raw.validation))
 
     ps = range(2, window + 1)
     sweep = curriculum_train(series, components, embedding, ps, hidden, params, seed, fraction)

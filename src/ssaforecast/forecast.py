@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, NonFiniteOutput, ZeroVarianceTargets
-from .mlp import Network, forward
+from .mlp import Batch, Network, forward_batch
 from .series import StandardizedSeries, destandardize
 
 
@@ -42,16 +42,18 @@ def multi_step_predict(net: Network, seed_window, horizon: int) -> np.ndarray:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    window = np.asarray(seed_window, dtype=np.float64).copy()
+    window = np.asarray(seed_window, dtype=np.float64)
     if window.shape != (net.input_dim,):
         raise DimensionMismatch(
             f"seed window shape {window.shape} incompatible with input_dim {net.input_dim}"
         )
+    batch = Batch(window[None, :], None, net.hidden_dim)
+    window = batch.inputs[0]  # fed back in place
     out = np.empty(horizon)
     # overflow is the failure mode being detected, not an error to warn about
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
-            y = forward(net, window)
+            y = float(forward_batch(net, batch)[0])
             if not math.isfinite(y):
                 raise NonFiniteOutput(
                     f"iteration produced a non-finite value at step {i + 1}", partial=out[:i]

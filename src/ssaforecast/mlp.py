@@ -105,22 +105,58 @@ def init_network(input_dim: int, hidden_dim: int, seed: int) -> Network:
     return Network(hw, np.zeros(hidden_dim), ow, np.zeros(1))
 
 
-def _with_ones(x: np.ndarray) -> np.ndarray:
-    """The (n, m) batch with a ones column appended, to meet [W | b]."""
-    x1 = np.empty((x.shape[0], x.shape[1] + 1))
-    x1[:, :-1] = x
-    x1[:, -1] = 1.0
-    return x1
+class Batch:
+    """(n, m) inputs and their n targets, prepared once for the passes of an
+    H-unit network: the inputs with a ones column appended ([x|1], to meet
+    [W | b]) and scratch arrays for every intermediate, so that a pass
+    allocates no array.  The arrays a pass returns are this scratch, which
+    the batch's next pass overwrites.  `targets` is None for a batch that is
+    only run forward.  `inputs` is a view of the prepared inputs: writing to
+    it feeds the next pass new inputs without preparing again."""
+
+    def __init__(self, inputs, targets, hidden_dim: int):
+        x = np.asarray(inputs, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise EmptyBatch("a batch needs a non-empty (n, m) array of inputs")
+        n, m = x.shape
+        if targets is not None:
+            targets = np.asarray(targets, dtype=np.float64)
+            if targets.shape != (n,):
+                raise DimensionMismatch(f"{targets.shape} targets for {n} inputs")
+        self.targets = targets
+        self.layer_shape = (hidden_dim, m + 1)
+        self.x1 = np.empty((n, m + 1))
+        self.x1[:, :-1] = x
+        self.x1[:, -1] = 1.0
+        self.inputs = self.x1[:, :-1]
+        self.h = np.empty((n, hidden_dim))
+        self.err = np.empty(n)
+        if targets is not None:  # scratch for the gradient
+            self.sq = np.empty(n)
+            self.dz = np.empty((n, hidden_dim))
+            self.grad = np.empty(hidden_dim * (m + 2) + 1)
+            self.grad_views = _views(self.grad, hidden_dim, m)
 
 
-def forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Predictions for a (n, m) batch."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise DimensionMismatch(f"batch shape {x.shape} incompatible with input_dim {net.input_dim}")
-    hidden = _with_ones(x) @ net.hidden_layer.T
-    np.tanh(hidden, out=hidden)
-    return hidden @ net.output_weights[0] + net.output_bias[0]
+def _forward(net: Network, batch: Batch) -> np.ndarray:
+    """The kernel of `forward_batch`: h = tanh([x|1] [W|b]^T) into `batch.h`
+    and the predictions h w_out + b_out into `batch.err`, which it returns.
+    `backprop_gradient` calls it directly, so that `forward_batch` is only
+    ever a forward-only pass."""
+    if net.hidden_layer.shape != batch.layer_shape:
+        raise DimensionMismatch(
+            f"batch for layer {batch.layer_shape}, network {net.hidden_layer.shape}")
+    h, pred = batch.h, batch.err
+    np.matmul(batch.x1, net.hidden_layer.T, out=h)
+    np.tanh(h, out=h)
+    np.matmul(h, net.output_weights[0], out=pred)
+    pred += net.output_bias[0]
+    return pred
+
+
+def forward_batch(net: Network, batch: Batch) -> np.ndarray:
+    """Predictions for a prepared batch (the batch's scratch)."""
+    return _forward(net, batch)
 
 
 def forward(net: Network, inputs) -> float:
@@ -128,7 +164,7 @@ def forward(net: Network, inputs) -> float:
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise DimensionMismatch(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    return float(forward_batch(net, x[None, :])[0])
+    return float(forward_batch(net, Batch(x[None, :], None, net.hidden_dim))[0])
 
 
 def mse(predictions, targets) -> float:
@@ -141,47 +177,34 @@ def mse(predictions, targets) -> float:
     return _mean_square(p - t)
 
 
-def _mean_square(err: np.ndarray) -> float:
-    # np.mean's own arithmetic (sum, then divide by the count) without its
-    # Python-level overhead, so the value matches np.mean bitwise
-    return float(np.add.reduce(err**2, axis=None) / err.size)
+def _mean_square(err: np.ndarray, out: np.ndarray | None = None) -> float:
+    # np.mean's own arithmetic (sum of squares, then divide by the count)
+    # without its Python-level overhead, so the value matches np.mean
+    # bitwise; the squares go to `out` when it is given
+    return float(np.add.reduce(np.multiply(err, err, out=out), axis=None) / err.size)
 
 
-def backprop_gradient(net: Network, inputs, targets) -> tuple[float, np.ndarray]:
+def backprop_gradient(net: Network, batch: Batch) -> tuple[float, np.ndarray]:
     """(loss, grad): the batch MSE and its exact gradient with respect to
     every parameter, from one forward pass; `grad` is a flat vector in the
-    network's layout (`_views`)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyBatch("gradient needs a non-empty (n, m) batch")
-    if x.shape[1] != net.input_dim or t.shape != (x.shape[0],):
-        raise DimensionMismatch("batch shapes inconsistent with the network")
-    n = x.shape[0]
-    # in-place steps: z = [x|1] [W|b]^T, h = tanh(z), pred = h w_out + b_out,
-    # without the temporaries
-    x1 = _with_ones(x)
-    h = x1 @ net.hidden_layer.T
-    np.tanh(h, out=h)  # (n, H)
-    err = h @ net.output_weights[0]
-    err += net.output_bias[0]
-    err -= t  # pred - t
-    loss = _mean_square(err)
-    grad = np.empty_like(net.flat)
-    g = _views(grad, net.hidden_dim, net.input_dim)
+    network's layout (`_views`), the batch's scratch."""
+    err = _forward(net, batch)
+    err -= batch.targets  # pred - t
+    loss = _mean_square(err, out=batch.sq)
+    h, dz, g = batch.h, batch.dz, batch.grad_views
     # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
     dout = err
-    dout *= 2.0 / n
+    dout *= 2.0 / err.size
     np.matmul(dout, h, out=g["output_weights"][0])
     g["output_bias"][0] = dout.sum()
     # dz = outer(dout, w_out) * (1 - h^2), with h overwritten by 1 - h^2
-    dz = dout[:, None] * net.output_weights[0]  # (n, H)
+    np.multiply(dout[:, None], net.output_weights[0], out=dz)
     h *= h
     np.subtract(1.0, h, out=h)
     dz *= h
     # the ones column of [x|1] makes the last column the hidden-bias gradient
-    np.matmul(dz.T, x1, out=g["hidden_layer"])
-    return loss, grad
+    np.matmul(dz.T, batch.x1, out=g["hidden_layer"])
+    return loss, batch.grad
 
 
 @dataclass(frozen=True)
@@ -199,17 +222,19 @@ class TraceEntry(NamedTuple):
 
 
 def gd_step(
-    net: Network, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float
-) -> tuple[Network, np.ndarray]:
-    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v, with
-    v and g flat vectors in the network's layout.
+    theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float
+) -> None:
+    """One momentum update of the flat vectors `theta` and `velocity`, in
+    place: v <- momentum*v - lr*g; theta <- theta + v.
 
-    Returns the new network and velocity; raises ValueError if the updated
-    parameters are not finite."""
-    if grad.shape != net.flat.shape:
+    Raises ValueError if the updated parameters are not finite."""
+    if grad.shape != theta.shape or velocity.shape != theta.shape:
         raise DimensionMismatch("gradient length does not match the network")
-    v = momentum * velocity - lr * grad
-    return Network._from_flat(net.flat + v, net.hidden_dim, net.input_dim), v
+    velocity *= momentum
+    velocity -= lr * grad
+    theta += velocity
+    if not np.isfinite(theta).all():
+        raise ValueError("network parameters must be finite")
 
 
 def train(
@@ -226,7 +251,8 @@ def train(
     MSE) at the new parameters.  Returns the state with the lowest validation
     MSE seen; training stops early after `patience` epochs without
     improvement (patience=None runs the full budget), or immediately once the
-    training error hits exactly zero.
+    training error hits exactly zero.  `net` is not modified, and the
+    returned network is a copy that no later training touches.
 
     Raises DivergenceDetected (carrying the partial trace) if the gradient,
     the parameters after a step or the training error become non-finite.
@@ -237,8 +263,15 @@ def train(
         raise ValueError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
-    inputs, targets = split.train.inputs, split.train.targets
-    velocity = np.zeros_like(net.flat)
+    h, m = net.hidden_dim, net.input_dim
+    batch = Batch(split.train.inputs, split.train.targets, h)
+    val = Batch(split.validation.inputs, split.validation.targets, h)
+    # the working parameters: gd_step moves theta in place, and `work` holds
+    # views of it for the passes; neither leaves this function
+    theta = net.flat.copy()
+    work = Network._from_flat(theta, h, m)
+    velocity = np.zeros_like(theta)
+    best = np.empty_like(theta)
     trace: list[TraceEntry] = []
     best_epoch = 0
     stale = 0
@@ -247,30 +280,29 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         # the gradient pass at each epoch's stepped parameters also gives that
         # epoch's training error, and its gradient drives the next epoch's step
-        _, grad = backprop_gradient(net, inputs, targets)
+        _, grad = backprop_gradient(work, batch)
         for epoch in range(1, epochs + 1):
-            if not np.isfinite(grad).all():
-                raise DivergenceDetected(
-                    f"gradient became non-finite at epoch {epoch}", trace=trace
-                )
             try:
-                net, velocity = gd_step(net, velocity, grad, lr, momentum)
-            except ValueError:  # the step overflowed the parameters
+                gd_step(theta, velocity, grad, lr, momentum)
+            except ValueError:
+                # a non-finite gradient always makes the step non-finite
+                # (theta and v were finite), so it is looked for only here
+                cause = "parameters" if np.isfinite(grad).all() else "gradient"
                 raise DivergenceDetected(
-                    f"parameters became non-finite at epoch {epoch}", trace=trace
+                    f"{cause} became non-finite at epoch {epoch}", trace=trace
                 ) from None
-            train_err, grad = backprop_gradient(net, inputs, targets)
+            train_err, grad = backprop_gradient(work, batch)
             if not math.isfinite(train_err):
                 raise DivergenceDetected(
                     f"training error became non-finite at epoch {epoch}", trace=trace
                 )
-            val_err = mse(
-                forward_batch(net, split.validation.inputs), split.validation.targets
-            )
+            err = forward_batch(work, val)
+            err -= val.targets
+            val_err = _mean_square(err, out=err)
             trace.append(TraceEntry(epoch, train_err, val_err))
             if best_epoch == 0 or val_err < best_val:
                 best_epoch, best_train, best_val = epoch, train_err, val_err
-                best_net = net
+                best[:] = theta
                 stale = 0
             else:
                 stale += 1
@@ -278,7 +310,7 @@ def train(
                     break
             if train_err == 0.0:
                 break
-    return TrainState(best_net, best_epoch, best_train, best_val), trace
+    return TrainState(Network._from_flat(best, h, m), best_epoch, best_train, best_val), trace
 
 
 def network_to_dict(net: Network) -> dict:

@@ -11,6 +11,12 @@ call one another.  The gradient and velocity keep their four named arrays
 and velocity (`ReferenceState`).  They share only the Network class, the
 trace entry and the error classes with ssaforecast.mlp, so tests can check
 the lean trainer against this loop.
+
+The ``allocating_`` functions at the end are the lean trainer as it was
+before its epoch became allocation-free: the same arithmetic, but each pass
+rebuilds [x|1] and every intermediate, and each step builds a new Network.
+They are kept verbatim, renamed and made to call one another, so tests can
+pin the in-place trainer to them bitwise.
 """
 
 import math
@@ -26,7 +32,7 @@ from ssaforecast.errors import (
     EmptyInput,
     LengthMismatch,
 )
-from ssaforecast.mlp import Network, TraceEntry
+from ssaforecast.mlp import Network, TraceEntry, TrainState, _views
 
 
 class ReferenceGradient(NamedTuple):
@@ -190,3 +196,159 @@ def reference_train(
             break
     assert best is not None
     return best, trace
+
+
+# -- the allocating lean trainer ----------------------------------------------------
+
+def allocating_with_ones(x: np.ndarray) -> np.ndarray:
+    """The (n, m) batch with a ones column appended, to meet [W | b]."""
+    x1 = np.empty((x.shape[0], x.shape[1] + 1))
+    x1[:, :-1] = x
+    x1[:, -1] = 1.0
+    return x1
+
+
+def allocating_forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
+    """Predictions for a (n, m) batch."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise DimensionMismatch(f"batch shape {x.shape} incompatible with input_dim {net.input_dim}")
+    hidden = allocating_with_ones(x) @ net.hidden_layer.T
+    np.tanh(hidden, out=hidden)
+    return hidden @ net.output_weights[0] + net.output_bias[0]
+
+
+def allocating_mse(predictions, targets) -> float:
+    p = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if p.size == 0 or t.size == 0:
+        raise EmptyInput("mse needs at least one value")
+    if p.shape != t.shape:
+        raise LengthMismatch(f"length {p.size} vs {t.size}")
+    return allocating_mean_square(p - t)
+
+
+def allocating_mean_square(err: np.ndarray) -> float:
+    # np.mean's own arithmetic (sum, then divide by the count) without its
+    # Python-level overhead, so the value matches np.mean bitwise
+    return float(np.add.reduce(err**2, axis=None) / err.size)
+
+
+def allocating_backprop_gradient(net: Network, inputs, targets) -> tuple[float, np.ndarray]:
+    """(loss, grad): the batch MSE and its exact gradient with respect to
+    every parameter, from one forward pass; `grad` is a flat vector in the
+    network's layout (`_views`)."""
+    x = np.asarray(inputs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise EmptyBatch("gradient needs a non-empty (n, m) batch")
+    if x.shape[1] != net.input_dim or t.shape != (x.shape[0],):
+        raise DimensionMismatch("batch shapes inconsistent with the network")
+    n = x.shape[0]
+    # in-place steps: z = [x|1] [W|b]^T, h = tanh(z), pred = h w_out + b_out,
+    # without the temporaries
+    x1 = allocating_with_ones(x)
+    h = x1 @ net.hidden_layer.T
+    np.tanh(h, out=h)  # (n, H)
+    err = h @ net.output_weights[0]
+    err += net.output_bias[0]
+    err -= t  # pred - t
+    loss = allocating_mean_square(err)
+    grad = np.empty_like(net.flat)
+    g = _views(grad, net.hidden_dim, net.input_dim)
+    # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
+    dout = err
+    dout *= 2.0 / n
+    np.matmul(dout, h, out=g["output_weights"][0])
+    g["output_bias"][0] = dout.sum()
+    # dz = outer(dout, w_out) * (1 - h^2), with h overwritten by 1 - h^2
+    dz = dout[:, None] * net.output_weights[0]  # (n, H)
+    h *= h
+    np.subtract(1.0, h, out=h)
+    dz *= h
+    # the ones column of [x|1] makes the last column the hidden-bias gradient
+    np.matmul(dz.T, x1, out=g["hidden_layer"])
+    return loss, grad
+
+
+def allocating_gd_step(
+    net: Network, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float
+) -> tuple[Network, np.ndarray]:
+    """One momentum update: v <- momentum*v - lr*g; theta <- theta + v, with
+    v and g flat vectors in the network's layout.
+
+    Returns the new network and velocity; raises ValueError if the updated
+    parameters are not finite."""
+    if grad.shape != net.flat.shape:
+        raise DimensionMismatch("gradient length does not match the network")
+    v = momentum * velocity - lr * grad
+    return Network._from_flat(net.flat + v, net.hidden_dim, net.input_dim), v
+
+
+def allocating_train(
+    net: Network,
+    split,
+    epochs: int = 5000,
+    lr: float = 0.01,
+    momentum: float = 0.9,
+    patience: int | None = 200,
+) -> tuple[TrainState, list[TraceEntry]]:
+    """Full-batch gradient descent on the training pairs.
+
+    Each epoch takes one step and then records (epoch, train MSE, validation
+    MSE) at the new parameters.  Returns the state with the lowest validation
+    MSE seen; training stops early after `patience` epochs without
+    improvement (patience=None runs the full budget), or immediately once the
+    training error hits exactly zero.
+
+    Raises DivergenceDetected (carrying the partial trace) if the gradient,
+    the parameters after a step or the training error become non-finite.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if lr <= 0.0:
+        raise ValueError("learning rate must be positive")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError("momentum must lie in [0, 1)")
+    inputs, targets = split.train.inputs, split.train.targets
+    velocity = np.zeros_like(net.flat)
+    trace: list[TraceEntry] = []
+    best_epoch = 0
+    stale = 0
+    # overflow here is not an error condition: it surfaces as a non-finite
+    # gradient, step or training error and raises DivergenceDetected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the gradient pass at each epoch's stepped parameters also gives that
+        # epoch's training error, and its gradient drives the next epoch's step
+        _, grad = allocating_backprop_gradient(net, inputs, targets)
+        for epoch in range(1, epochs + 1):
+            if not np.isfinite(grad).all():
+                raise DivergenceDetected(
+                    f"gradient became non-finite at epoch {epoch}", trace=trace
+                )
+            try:
+                net, velocity = allocating_gd_step(net, velocity, grad, lr, momentum)
+            except ValueError:  # the step overflowed the parameters
+                raise DivergenceDetected(
+                    f"parameters became non-finite at epoch {epoch}", trace=trace
+                ) from None
+            train_err, grad = allocating_backprop_gradient(net, inputs, targets)
+            if not math.isfinite(train_err):
+                raise DivergenceDetected(
+                    f"training error became non-finite at epoch {epoch}", trace=trace
+                )
+            val_err = allocating_mse(
+                allocating_forward_batch(net, split.validation.inputs), split.validation.targets
+            )
+            trace.append(TraceEntry(epoch, train_err, val_err))
+            if best_epoch == 0 or val_err < best_val:
+                best_epoch, best_train, best_val = epoch, train_err, val_err
+                best_net = net
+                stale = 0
+            else:
+                stale += 1
+                if patience is not None and stale >= patience:
+                    break
+            if train_err == 0.0:
+                break
+    return TrainState(best_net, best_epoch, best_train, best_val), trace

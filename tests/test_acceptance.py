@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from ssaforecast.cli import main
-from ssaforecast.mlp import backprop_gradient, forward_batch
+from ssaforecast.mlp import Batch, backprop_gradient, forward_batch
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import standardize
 from ssaforecast.ssa import decompose
@@ -138,8 +138,8 @@ def test_criterion_4_gradient_correctness():
         batch = 1 + int(rng.below(16))
         net = random_network(m, h, seed=400000 + case, scale=1.0)
         inputs = rng.normals(batch * m).reshape(batch, m)
-        targets = forward_batch(net, inputs) + 0.3 * rng.normals(batch)
-        _, got = backprop_gradient(net, inputs, targets)
+        targets = forward_batch(net, Batch(inputs, None, h)) + 0.3 * rng.normals(batch)
+        _, got = backprop_gradient(net, Batch(inputs, targets, h))
         want = finite_difference_gradient(net, inputs, targets, step=1e-6)
         assert got.shape == want.shape
         scale = np.maximum(np.abs(got), np.abs(want))

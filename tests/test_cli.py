@@ -3,6 +3,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,17 @@ def test_train_summary_per_stage_errors(workdir):
     assert all(s["epochs_run"] == 80 for s in summary["stages"])
     assert summary["stages"][-1]["validation_mse"] == summary["final_validation_mse"]
     assert summary["stages"][-1]["train_mse"] == summary["final_train_mse"]
+
+
+def test_wide_window_warning_is_one_line(workdir, capsys):
+    warnings.resetwarnings()  # undo the autouse filter that quiets this warning
+    assert main(["decompose", "--config", "golden_config.json", "--set", "window=50"]) == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: window 50 exceeds a third of the series length 120; "
+        "lag estimates will be noisy\n"
+    )
+    assert ".py" not in err
 
 
 def test_unknown_config_key_exit_2(workdir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from ssaforecast.errors import (
     LengthMismatch,
 )
 from ssaforecast.mlp import (
+    Batch,
     Network,
     backprop_gradient,
     forward,
@@ -115,7 +117,7 @@ def test_forward_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         forward(net, np.ones(4))
     with pytest.raises(DimensionMismatch):
-        forward_batch(net, np.ones((5, 4)))
+        forward_batch(net, Batch(np.ones((5, 4)), None, 2))
 
 
 # -- mse -------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def finite_difference_gradient(net, inputs, targets, step=1e-6):
 
     def loss(flat):
         trial = Network._from_flat(flat, net.hidden_dim, net.input_dim)
-        return mse(forward_batch(trial, inputs), targets)
+        return mse(forward_batch(trial, Batch(inputs, None, net.hidden_dim)), targets)
 
     grad = np.zeros_like(net.flat)
     for idx in range(grad.size):
@@ -171,7 +173,7 @@ def assert_gradients_close(got, want, rtol=1e-5, atol=1e-8):
 def test_gradient_zero_at_perfect_fit():
     # zero network predicts 0; zero targets make the fit exact
     net = zero_network(3, 4)
-    loss, grad = backprop_gradient(net, np.ones((5, 3)), np.zeros(5))
+    loss, grad = backprop_gradient(net, Batch(np.ones((5, 3)), np.zeros(5), 4))
     assert loss == 0.0
     assert grad.shape == net.flat.shape
     assert np.all(grad == 0.0)
@@ -186,7 +188,7 @@ def test_gradient_matches_finite_differences():
         net = random_network(m, h, seed=1000 + case, scale=1.2)
         inputs = rng.normals(n * m).reshape(n, m)
         targets = rng.normals(n)
-        _, got = backprop_gradient(net, inputs, targets)
+        _, got = backprop_gradient(net, Batch(inputs, targets, h))
         want = finite_difference_gradient(net, inputs, targets)
         assert_gradients_close(got, want)
 
@@ -196,7 +198,7 @@ def test_output_bias_gradient_single_sample():
     x = np.array([[0.4, -0.7]])
     t = np.array([0.2])
     a = forward(net, x[0])
-    _, grad = backprop_gradient(net, x, t)
+    _, grad = backprop_gradient(net, Batch(x, t, 3))
     # the output bias is the last entry of the flat layout
     assert grad[-1] == pytest.approx(2.0 * (a - t[0]), rel=1e-12)
 
@@ -206,8 +208,9 @@ def test_gradient_loss_is_batch_mse():
     rng = SplitMix64(22)
     inputs = rng.normals(30).reshape(10, 3)
     targets = rng.normals(10)
-    loss, _ = backprop_gradient(net, inputs, targets)
-    assert loss == mse(forward_batch(net, inputs), targets)
+    batch = Batch(inputs, targets, 4)
+    loss, _ = backprop_gradient(net, batch)
+    assert loss == mse(forward_batch(net, batch), targets)
 
 
 def test_parameter_arrays_are_views_of_flat_vector():
@@ -235,15 +238,72 @@ def test_network_rejects_non_finite_and_bad_shapes():
 
 def test_gradient_empty_batch():
     with pytest.raises(EmptyBatch):
-        backprop_gradient(zero_network(2, 2), np.empty((0, 2)), np.empty(0))
+        backprop_gradient(zero_network(2, 2), Batch(np.empty((0, 2)), np.empty(0), 2))
+
+
+def test_batch_rejects_mismatched_shapes():
+    with pytest.raises(EmptyBatch):
+        Batch(np.ones(3), None, 2)
+    with pytest.raises(DimensionMismatch):
+        Batch(np.ones((5, 3)), np.zeros(4), 2)
+    batch = Batch(np.ones((5, 3)), np.zeros(5), 2)
+    for net in (zero_network(3, 3), zero_network(2, 2)):
+        with pytest.raises(DimensionMismatch):
+            backprop_gradient(net, batch)
+        with pytest.raises(DimensionMismatch):
+            forward_batch(net, batch)
+
+
+def pass_peak_bytes(run) -> int:
+    """tracemalloc's peak over one call of `run`, after a warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_passes_reuse_the_batch_scratch():
+    """A pass on a prepared batch allocates no array that grows with the
+    batch: its peak memory is the same at 9,000 and 36,000 rows (what is left
+    is numpy's fixed-size ufunc buffer), where rebuilding [x|1] alone would
+    add 27,000 * (m+1) floats."""
+    m, h = 5, 10
+    net = random_network(m, h, seed=27)
+    rng = SplitMix64(28)
+    peaks = []
+    for n in (9000, 36000):
+        batch = Batch(rng.normals(n * m).reshape(n, m), rng.normals(n), h)
+        peaks.append([pass_peak_bytes(lambda: backprop_gradient(net, batch)),
+                      pass_peak_bytes(lambda: forward_batch(net, batch))])
+    for small, big in zip(*peaks):
+        assert big - small < 1024
 
 
 # -- gd_step ----------------------------------------------------------------------
 
+def step(net, velocity, grad, lr, momentum):
+    """gd_step on copies of the network's flat vector and the velocity: the
+    stepped network and the new velocity."""
+    theta, velocity = net.flat.copy(), velocity.copy()
+    gd_step(theta, velocity, grad, lr, momentum)
+    return Network._from_flat(theta, net.hidden_dim, net.input_dim), velocity
+
+
+def test_gd_step_updates_in_place():
+    # v = 0.5 * 1 - 0.25 * 1 and theta = 0 + v, exactly
+    theta, velocity = np.zeros(5), np.ones(5)
+    assert gd_step(theta, velocity, np.ones(5), lr=0.25, momentum=0.5) is None
+    np.testing.assert_array_equal(velocity, np.full(5, 0.25))
+    np.testing.assert_array_equal(theta, np.full(5, 0.25))
+
+
 def test_gd_step_fixed_point():
     net = random_network(2, 2, seed=3)
     zero = np.zeros_like(net.flat)
-    stepped, _ = gd_step(net, zero, zero, lr=0.1, momentum=0.0)
+    stepped, _ = step(net, zero, zero, lr=0.1, momentum=0.0)
     np.testing.assert_array_equal(stepped.hidden_weights, net.hidden_weights)
     np.testing.assert_array_equal(stepped.output_bias, net.output_bias)
 
@@ -253,7 +313,7 @@ def test_gd_step_momentum_zero_is_sgd():
     grad = Network(
         np.full((2, 2), 0.5), np.full(2, -0.25), np.full((1, 2), 1.0), np.array([2.0])
     ).flat
-    stepped, _ = gd_step(net, np.zeros_like(net.flat), grad, lr=0.1, momentum=0.0)
+    stepped, _ = step(net, np.zeros_like(net.flat), grad, lr=0.1, momentum=0.0)
     np.testing.assert_allclose(
         stepped.hidden_weights, net.hidden_weights - 0.05, atol=1e-15
     )
@@ -271,7 +331,7 @@ def test_gd_step_quadratic_hand_iteration():
         grad = Network(
             np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.array([2.0 * w])
         ).flat
-        net, velocity = gd_step(net, velocity, grad, lr=0.1, momentum=0.0)
+        net, velocity = step(net, velocity, grad, lr=0.1, momentum=0.0)
     assert net.output_bias[0] == pytest.approx(0.512, abs=1e-15)
 
 
@@ -279,8 +339,8 @@ def test_gd_step_momentum_accumulates_velocity():
     # constant gradient g: v1 = -lr g, v2 = momentum v1 - lr g
     net = zero_network(1, 1)
     grad = Network(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.ones(1)).flat
-    net, velocity = gd_step(net, np.zeros_like(net.flat), grad, lr=0.1, momentum=0.5)
-    net, velocity = gd_step(net, velocity, grad, lr=0.1, momentum=0.5)
+    net, velocity = step(net, np.zeros_like(net.flat), grad, lr=0.1, momentum=0.5)
+    net, velocity = step(net, velocity, grad, lr=0.1, momentum=0.5)
     assert velocity.shape == net.flat.shape
     np.testing.assert_allclose(velocity, -0.15, rtol=1e-15)
     np.testing.assert_allclose(net.flat, -0.25, rtol=1e-15)
@@ -290,13 +350,13 @@ def test_gd_step_rejects_non_finite_parameters():
     net = zero_network(1, 1)
     grad = Network(np.ones((1, 1)), np.ones(1), np.ones((1, 1)), np.array([-1e308])).flat
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
-        gd_step(net, np.zeros_like(net.flat), grad, lr=10.0, momentum=0.0)
+        gd_step(net.flat.copy(), np.zeros_like(net.flat), grad, lr=10.0, momentum=0.0)
 
 
 def test_gd_step_rejects_mismatched_gradient():
     net = zero_network(2, 3)
     with pytest.raises(DimensionMismatch):
-        gd_step(net, np.zeros_like(net.flat), zero_network(3, 2).flat, 0.1, 0.0)
+        gd_step(net.flat.copy(), np.zeros_like(net.flat), zero_network(3, 2).flat, 0.1, 0.0)
 
 
 # -- train ------------------------------------------------------------------------
@@ -346,6 +406,31 @@ def test_train_returns_best_validation_state():
     net = init_network(2, 8, seed=3)
     state, trace = train(net, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
     assert state.validation_mse <= min(e.validation_mse for e in trace)
+
+
+def test_train_leaves_its_network_unchanged():
+    split = make_split(120, 3, seed=5)
+    net = init_network(3, 6, seed=7)
+    before = net.flat.copy()
+    state, trace = train(net, split, epochs=80, lr=0.05, momentum=0.9, patience=None)
+    np.testing.assert_array_equal(net.flat, before)
+    assert state.epoch > 1 and not np.shares_memory(state.network.flat, net.flat)
+
+
+def test_best_network_survives_warm_started_training():
+    """The returned best network is a snapshot: training on from it, as the
+    next curriculum stage does, and training the same call's parameters on
+    past the best epoch leave it as it was."""
+    split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
+    state, trace = train(init_network(2, 8, seed=3), split, epochs=400, lr=0.1, patience=None)
+    assert state.epoch < len(trace)  # the parameters moved on after the best epoch
+    snapshot = state.network.flat.copy()
+    pred = mse(forward_batch(state.network, Batch(split.validation.inputs, None, 8)),
+               split.validation.targets)
+    assert pred == state.validation_mse
+    later, _ = train(state.network, make_split(100, 2, seed=45), epochs=100, lr=0.1)
+    np.testing.assert_array_equal(state.network.flat, snapshot)
+    assert not np.array_equal(later.network.flat, snapshot)
 
 
 def test_train_early_stopping_cuts_budget():

@@ -9,6 +9,10 @@ TRACE_RTOL.  Control flow must agree exactly: the epochs run, the best epoch,
 the patience stop, the zero-error stop and the type, message and epochs of a
 failure.  The plateau and zero-error cases keep the hidden layer at zero, so
 there the fold changes no rounding and the runs must agree bitwise.
+
+The trainer must also agree bitwise with the allocating trainer kept there
+(`allocating_train`): preparing the batches once and stepping the parameters
+in place reorders no arithmetic.
 """
 
 from dataclasses import replace
@@ -17,7 +21,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference_train import (
+    allocating_train,
     reference_backprop_gradient,
     reference_forward_batch,
     reference_mse,
@@ -27,6 +34,7 @@ from reference_train import (
 from ssaforecast.benchmark import two_sine_benchmark
 from ssaforecast.errors import DivergenceDetected
 from ssaforecast.mlp import (
+    Batch,
     Network,
     _views,
     backprop_gradient,
@@ -94,14 +102,15 @@ def test_gradient_agrees_with_reference():
         net = random_network(m, h, rng)
         inputs = rng.normals(n * m).reshape(n, m)
         targets = rng.normals(n)
-        loss, grad = backprop_gradient(net, inputs, targets)
+        predictions = reference_forward_batch(net, inputs)
+        batch = Batch(inputs, targets, h)
+        assert_close(forward_batch(net, batch), predictions, GRADIENT_RTOL)
+        loss, grad = backprop_gradient(net, batch)
         assert grad.shape == net.flat.shape
         got = _views(grad, h, m)
         want = reference_backprop_gradient(net, inputs, targets)
         for name in ARRAYS:
             assert_close(got[name], getattr(want, name), GRADIENT_RTOL)
-        predictions = reference_forward_batch(net, inputs)
-        assert_close(forward_batch(net, inputs), predictions, GRADIENT_RTOL)
         assert loss == pytest.approx(reference_mse(predictions, targets), rel=GRADIENT_RTOL)
 
 
@@ -210,3 +219,59 @@ def test_non_finite_step_fails_like_the_reference():
     assert want[:2] == (ValueError, "network parameters must be finite")
     assert got[:2] == (DivergenceDetected, "parameters became non-finite at epoch 1")
     assert got[2] == want[2] == []
+
+
+def outcome(run):
+    """A run's result with every float as its bytes: ("ok", best epoch, best
+    flat vector, best errors, trace) or ("diverged", message, trace)."""
+    try:
+        state, trace = run()
+    except DivergenceDetected as exc:
+        return "diverged", str(exc), np.array(exc.trace, dtype=np.float64).tobytes()
+    errors = np.array([state.train_mse, state.validation_mse]).tobytes()
+    return ("ok", state.epoch, state.network.flat.tobytes(), errors,
+            np.array(trace, dtype=np.float64).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    h=st.integers(1, 12),
+    n=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 30.0, 1e150, 1e300, 1e308]),
+    weight=st.sampled_from([1.0, 1e-150, 1e-300, 1e-308]),
+    lr=st.floats(-3.0, 10.0).map(lambda e: 10.0**e),
+    momentum=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    patience=st.one_of(st.none(), st.integers(1, 30)),
+    epochs=st.integers(1, 80),
+)
+@example(m=4, h=5, n=120, seed=4, scale=1.0, weight=1.0, lr=1e6, momentum=0.0, patience=None,
+         epochs=200)
+@example(m=1, h=1, n=2, seed=0, scale=1e308, weight=1e-308, lr=0.1, momentum=0.9,
+         patience=None, epochs=5)
+@example(m=1, h=1, n=2, seed=0, scale=1e300, weight=1e-300, lr=1e10, momentum=0.9,
+         patience=None, epochs=5)
+@example(m=3, h=4, n=60, seed=9, scale=1.0, weight=1.0, lr=0.1, momentum=0.9, patience=5,
+         epochs=400)
+def test_trainer_matches_allocating_trainer_bitwise(m, h, n, seed, scale, weight, lr, momentum,
+                                                    patience, epochs):
+    """Across sizes, step sizes and stopping rules, including runs that
+    diverge through the gradient, the step or the training error (inputs up
+    to 1e308 against hidden weights down to 1e-308): the same trace entries,
+    best epoch, best errors and best flat vector to the bit, or the same
+    DivergenceDetected message and partial trace."""
+    rng = SplitMix64(seed)
+    inputs = rng.uniforms((n + 4) * m, -scale, scale).reshape(n + 4, m)
+    targets = rng.normals(n + 4)
+    split = SimpleNamespace(
+        train=SimpleNamespace(inputs=inputs[:n], targets=targets[:n]),
+        validation=SimpleNamespace(inputs=inputs[n:], targets=targets[n:]),
+    )
+    net = random_network(m, h, rng)
+    net = replace(net, hidden_weights=weight * net.hidden_weights)
+    before = net.flat.copy()
+    got = outcome(lambda: train(net, split, epochs, lr, momentum, patience))
+    want = outcome(lambda: allocating_train(net, split, epochs, lr, momentum, patience))
+    assert got == want
+    np.testing.assert_array_equal(net.flat, before)
