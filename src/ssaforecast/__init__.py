@@ -23,9 +23,7 @@ from .series import (
     standardize,
 )
 from .ssa import (
-    ComponentSet,
-    SingularSpectrum,
-    ToeplitzCorrelation,
+    Decomposition,
     decompose,
     eigendecompose,
     lag_correlation,

@@ -57,28 +57,28 @@ def _stage_params(config: RunConfig) -> cur.StageParams:
 def cmd_decompose(config: RunConfig, echo: dict) -> int:
     raw = _load_series(config)
     std = standardize(raw)
-    corr, spectrum, comps = ssa.decompose(std, config.window)
+    dec = ssa.decompose(std, config.window)
     out = Path(config.output_dir)
     write_json(
         out / "spectrum.json",
         {
             "M": config.window,
             "N": std.n,
-            "lags": corr.lags,
-            "eigenvalues": spectrum.eigenvalues,
-            "eigenvectors": spectrum.eigenvectors,
-            "completeness_error": comps.completeness_error,
+            "lags": dec.lags,
+            "eigenvalues": dec.eigenvalues,
+            "eigenvectors": dec.eigenvectors,
+            "completeness_error": dec.completeness_error,
             "config_echo": echo,
         },
     )
     header = ["series"] + [f"rc_{k}" for k in range(1, config.window + 1)]
-    write_csv(out / "components.csv", header, np.column_stack([std.values, comps.rcs]))
+    write_csv(out / "components.csv", header, np.column_stack([std.values, dec.rcs]))
     write_csv(
         out / "singular_spectrum.csv",
         ["k", "log10_eigenvalue", "clamped"],
-        ssa.singular_spectrum_rows(spectrum),
+        ssa.singular_spectrum_rows(dec.eigenvalues),
     )
-    print(f"completeness: max |sum(RC) - series| = {comps.completeness_error:.3e}")
+    print(f"completeness: max |sum(RC) - series| = {dec.completeness_error:.3e}")
     return 0
 
 
@@ -111,15 +111,15 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
     params = _stage_params(config)
     initial = mlp.init_network(config.embedding, config.hidden_units, config.seed)
     counts = cur.stage_counts(config.window, config.pc_step)
-    components = None
+    dec = None
     if mode == "baseline":
         # one raw stage with the whole curriculum's epoch budget
         counts, params = (None,), replace(params, epochs=params.epochs * len(counts))
     else:
-        _, _, components = ssa.decompose(std, config.window)
+        dec = ssa.decompose(std, config.window)
     try:
         result = cur.curriculum_train(
-            std, components, config.embedding, counts, config.hidden_units, params,
+            std, dec, config.embedding, counts, config.hidden_units, params,
             config.seed, config.validation_fraction, config.early_stop_patience,
         )
     except RuntimeFailure as exc:
@@ -150,7 +150,7 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
     return 0
 
 
-def cmd_predict(config: RunConfig, echo: dict, network_path: str, horizon: int | None) -> int:
+def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     if not network_path:
         raise ConfigError("predict requires --network")
     path = Path(network_path)
@@ -167,13 +167,9 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str, horizon: int |
         )
     raw = _load_series(config, pairs=1)
     std = standardize(raw)
-    steps = horizon if horizon is not None else config.horizon
-    if horizon is not None:
-        echo = {**echo, "horizon": horizon,
-                "overrides": {**echo["overrides"], "horizon": horizon}}
     out = Path(config.output_dir)
     try:
-        result = fc.forecast_series(net, std, steps, raw.timestamps)
+        result = fc.forecast_series(net, std, config.horizon, raw.timestamps)
     except NonFiniteOutput as exc:
         write_json(
             out / "forecast_partial.json",
@@ -200,17 +196,16 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str, horizon: int |
             "config_echo": echo,
         },
     )
-    print(f"forecast peak {peak_value:.6g} at t={peak_time:.6g} over {steps} steps")
+    print(f"forecast peak {peak_value:.6g} at t={peak_time:.6g} over {config.horizon} steps")
     return 0
 
 
 def cmd_compare(config: RunConfig, echo: dict) -> int:
     raw = _load_series(config, pairs=1)
-    std = standardize(raw)
     out = Path(config.output_dir)
     params = _stage_params(config)
-    # a failure anywhere below still writes this document, with an "error"
-    # field and whatever finished before it ("curve" stays null if the
+    # a failure in the curve or a seed still writes this document, with an
+    # "error" field and whatever finished before it ("curve" stays null if the
     # curve itself failed)
     document = {
         "curve": None,
@@ -243,11 +238,12 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
         comparison = cur.compare_curriculum_baseline(
             raw.values, config.window, config.embedding, config.hidden_units, params,
             config.pc_step, config.seeds, config.compare_horizon, config.validation_fraction,
-            curve_series=std,
         )
     except RuntimeFailure as exc:
-        write_curve(getattr(exc, "curve", None))
-        document["per_seed"] = [asdict(r) for r in getattr(exc, "completed_seeds", ())]
+        if not hasattr(exc, "completed_seeds"):  # failed before any training
+            raise
+        write_curve(exc.curve)
+        document["per_seed"] = [asdict(r) for r in exc.completed_seeds]
         document["error"] = str(exc)
         write_json(out / "comparison.json", document)
         raise
@@ -289,6 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "horizon", None) is not None:
+        # --horizon N is the last --set horizon=N
+        args.overrides.append(f"horizon={args.horizon}")
     with warnings.catch_warnings():
         # one line, without the module path and source line of Python's default
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
@@ -299,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "train":
                 return cmd_train(config, echo, args.mode)
             if args.command == "predict":
-                return cmd_predict(config, echo, args.network, args.horizon)
+                return cmd_predict(config, echo, args.network)
             return cmd_compare(config, echo)
         except ValidationError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

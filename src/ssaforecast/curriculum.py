@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadHorizon, BadStep, DivergenceDetected, RuntimeFailure
+from .errors import BadHorizon, BadStep, ConfigError, DivergenceDetected, RuntimeFailure
 from .forecast import evaluate, multi_step_predict
 from .mlp import Batch, TraceEntry, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
-from .ssa import ComponentSet, decompose, partial_reconstruction
+from .ssa import Decomposition, decompose, partial_reconstruction
 
 DEFAULT_VALIDATION_FRACTION = 0.10
 
@@ -59,7 +59,7 @@ class CurriculumResult:
 
 def curriculum_train(
     series: StandardizedSeries,
-    components: ComponentSet | None,
+    dec: Decomposition | None,
     embedding: int,
     counts: Iterable[int | None],
     hidden: int,
@@ -72,7 +72,7 @@ def curriculum_train(
     """Train one warm-started network through a stage per entry of `counts`:
     the p-component reconstruction of `series`, or the raw series for None.
 
-    `components` is the decomposition of `series`, computed once by the
+    `dec` is the decomposition of `series`, computed once by the
     caller and shared by all stages and seeds; a raw-only run needs none.
     Each stage embeds its own source series (filtered inputs predict filtered
     targets), re-draws the validation split with seed + stage index, and
@@ -84,7 +84,7 @@ def curriculum_train(
     states: list[TrainState] = []
     traces: list[tuple[TraceEntry, ...]] = []
     for idx, p in enumerate(counts):
-        source = series.values if p is None else partial_reconstruction(components, p)
+        source = series.values if p is None else partial_reconstruction(dec, p)
         split = split_validation(build_embedding(source, embedding), fraction,
                                  seed if pin_split else seed + idx)
         try:
@@ -131,7 +131,7 @@ def error_vs_pc_curve(
     point and the baseline level share a common target.  The baseline arm
     gets the same total epoch budget in a single raw run.
     """
-    _, _, components = decompose(series, window)
+    dec = decompose(series, window)
     raw = split_validation(build_embedding(series.values, embedding), fraction, seed)
 
     def score(net) -> tuple[float, ...]:
@@ -139,7 +139,7 @@ def error_vs_pc_curve(
                      for d in (raw.train, raw.validation))
 
     ps = range(2, window + 1)
-    sweep = curriculum_train(series, components, embedding, ps, hidden, params, seed, fraction)
+    sweep = curriculum_train(series, dec, embedding, ps, hidden, params, seed, fraction)
     base = curriculum_train(series, None, embedding, (None,), hidden,
                             replace(params, epochs=sweep.total_epochs), seed, fraction)
     base_train, base_val = score(base.final_state.network)
@@ -246,20 +246,22 @@ def _receive(conn, proc):
         )
 
 
-def run_side_by_side(tasks, costs) -> dict[int, object]:
+def run_side_by_side(tasks, costs) -> list:
     """Run independent `(fn, args)` tasks on up to one lane per CPU this
-    process may use, and map each task index to its result or exception.
+    process may use, and return the serial run's outcomes (result or
+    exception) in task order, ending at the first exception.
 
     Lane 0 runs in this process; every other lane runs in one forked worker,
     which inherits the tasks, so nothing but outcomes is pickled.  One lane
     (one CPU, one task, or no fork) is the serial run.  A task's exception,
     whatever its type, is its outcome, so failures do not depend on the lane
-    a task ran in.  The serial run stops at its first failure, so a task
-    after a failed one may get no outcome, and its worker is stopped early.
+    a task ran in.  A worker whose tasks all come after a failure is stopped
+    early.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     lanes = assign_lanes(costs, max(1, min(cpus, len(tasks))))
     workers = []
+    sources = {}  # task index -> (reader, proc) of the worker lane running it
     try:
         if len(lanes) > 1:
             import multiprocessing
@@ -275,15 +277,18 @@ def run_side_by_side(tasks, costs) -> dict[int, object]:
                 # the next worker must not inherit this write end, or EOF
                 # would never arrive if this one died
                 writer.close()
-                workers.append((lane, reader, proc))
-        outcomes = dict(zip(lanes[0], _run_lane(tasks, lanes[0])))
-        for lane, reader, proc in workers:
-            for index in lane:
-                if any(isinstance(outcomes[i], Exception) for i in outcomes if i < index):
-                    break
-                outcomes[index] = _receive(reader, proc)
+                workers.append((reader, proc))
+                sources.update(dict.fromkeys(lane, workers[-1]))
+        local = dict(zip(lanes[0], _run_lane(tasks, lanes[0])))
+        # each worker sends its lane's outcomes in task order, so receiving
+        # in task order reads every pipe in its own order
+        outcomes = []
+        for index in range(len(tasks)):
+            outcomes.append(local[index] if index in local else _receive(*sources[index]))
+            if isinstance(outcomes[-1], Exception):
+                break
     finally:
-        for _, reader, proc in workers:
+        for reader, proc in workers:
             # a worker still running holds only tasks whose outcome is not needed
             proc.terminate()
             proc.join()
@@ -293,7 +298,7 @@ def run_side_by_side(tasks, costs) -> dict[int, object]:
 
 def _compare_seed(
     std: StandardizedSeries,
-    components: ComponentSet,
+    dec: Decomposition,
     holdout: np.ndarray,
     embedding: int,
     counts: tuple[int | None, ...],
@@ -303,7 +308,7 @@ def _compare_seed(
     fraction: float,
 ) -> SeedComparison:
     """Both arms of one seed: curriculum, then a baseline with its budget."""
-    cur = curriculum_train(std, components, embedding, counts, hidden, params, seed, fraction,
+    cur = curriculum_train(std, dec, embedding, counts, hidden, params, seed, fraction,
                            pin_split=True)
     base = curriculum_train(std, None, embedding, (None,), hidden,
                             replace(params, epochs=cur.total_epochs), seed, fraction)
@@ -334,7 +339,6 @@ def compare_curriculum_baseline(
     seeds,
     horizon: int,
     fraction: float = DEFAULT_VALIDATION_FRACTION,
-    curve_series: StandardizedSeries | None = None,
 ) -> ComparisonResult:
     """Paired-seed comparison on one series (original units).
 
@@ -346,50 +350,43 @@ def compare_curriculum_baseline(
     curriculum consumed, so the reported validation errors differ only
     through the training path.
 
-    With `curve_series`, the error-vs-p curve of that series (run seed: the
-    first seed) is computed too and returned as `curve`.  The curve and the
-    seeds are independent tasks and run side by side (`run_side_by_side`);
-    the results do not depend on the number of lanes.  A failure is raised
-    as the serial run (curve, then seeds in order) meets it first, carrying
+    The error-vs-p curve of the whole standardized series (run seed: the
+    first seed) is returned as `curve`.  The curve and the seeds are
+    independent tasks and run side by side (`run_side_by_side`); the results
+    do not depend on the number of lanes.  A failure is raised as the serial
+    run (curve, then seeds in order) meets it first, carrying
     `completed_seeds` (the seeds before it) and `curve` (None unless the
     curve finished).
     """
     values = np.asarray(values, dtype=np.float64)
+    curve_series = standardize(values)
     if horizon < 1 or horizon >= values.size - embedding - 1:
         raise BadHorizon(
             f"holdout horizon {horizon} leaves too little of the {values.size} samples "
             f"for training with embedding {embedding}"
         )
     seeds = list(seeds)
+    if not seeds:  # the curve runs with the first seed
+        raise ConfigError("seeds must be non-empty")
     fit = values[: values.size - horizon]
     holdout = values[values.size - horizon :]
     std = standardize(fit)
     counts = stage_counts(window, pc_step)
-    _, _, components = decompose(std, window)
-    tasks = [
-        (_compare_seed, (std, components, holdout, embedding, counts, hidden, params, seed,
-                         fraction))
+    dec = decompose(std, window)
+    tasks = [(error_vs_pc_curve, (curve_series, window, embedding, hidden, params, seeds[0],
+                                  fraction))]
+    tasks += [
+        (_compare_seed, (std, dec, holdout, embedding, counts, hidden, params, seed, fraction))
         for seed in seeds
     ]
-    # each task's epoch budget: both arms of a seed, or the curve's sweep
-    # plus its equal-budget baseline
-    costs = [2 * len(counts) * params.epochs] * len(tasks)
-    if curve_series is not None:
-        tasks.insert(0, (error_vs_pc_curve, (curve_series, window, embedding, hidden, params,
-                                             seeds[0], fraction)))
-        costs.insert(0, 2 * (window - 1) * params.epochs)
+    # each task's epoch budget: the curve's sweep plus its equal-budget
+    # baseline, or both arms of a seed
+    costs = [2 * (window - 1) * params.epochs] + [2 * len(counts) * params.epochs] * len(seeds)
     outcomes = run_side_by_side(tasks, costs)
-    curve = None
-    results: list[SeedComparison] = []
-    for index in range(len(tasks)):
-        outcome = outcomes[index]
-        if isinstance(outcome, Exception):
-            # callers can still report the curve and every seed before it
-            outcome.completed_seeds = tuple(results)
-            outcome.curve = curve
-            raise outcome
-        if isinstance(outcome, PcCurve):
-            curve = outcome
-        else:
-            results.append(outcome)
-    return ComparisonResult(per_seed=tuple(results), horizon=horizon, curve=curve)
+    if isinstance(outcomes[-1], Exception):
+        failure = outcomes.pop()
+        # callers can still report the curve and every seed before it
+        failure.curve = outcomes[0] if outcomes else None
+        failure.completed_seeds = tuple(outcomes[1:])
+        raise failure
+    return ComparisonResult(per_seed=tuple(outcomes[1:]), horizon=horizon, curve=outcomes[0])

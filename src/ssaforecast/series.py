@@ -16,6 +16,7 @@ from .errors import (
     NonMonotonicTime,
     NonUniformSpacing,
     ParseError,
+    RuntimeFailure,
     ZeroVariance,
 )
 from .rng import SplitMix64
@@ -120,8 +121,11 @@ def standardize(raw) -> StandardizedSeries:
     values = raw.values if isinstance(raw, RawSeries) else _as_values(raw)
     if values.size < 2:
         raise ValueError("need at least two samples")
-    mean = float(np.mean(values))
-    var = float(np.mean((values - mean) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        var = float(np.mean((values - mean) ** 2))
+    if not math.isfinite(var):
+        raise RuntimeFailure("series mean or variance overflows; cannot standardize")
     if var <= 0.0:
         raise ZeroVariance("series is constant; cannot standardize")
     scale = math.sqrt(var)

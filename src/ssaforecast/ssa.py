@@ -36,57 +36,15 @@ SIGN_TIE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ToeplitzCorrelation:
-    """Lag correlations c_0..c_{M-1}; the induced matrix has c_|j-k| at (j,k)."""
+class Decomposition:
+    """One decomposition of a series: the lag correlations c_0..c_{M-1}, the
+    eigenvalues in descending order with the matching orthonormal
+    eigenvector columns, and the reconstructed components (columns of rcs)."""
 
-    lags: np.ndarray
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=np.float64)
-        object.__setattr__(self, "lags", lags)
-        if lags.ndim != 1 or lags.size < 1:
-            raise ValueError("lags must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(lags)):
-            raise ValueError("lags must be finite")
-        if lags[0] <= 0.0:
-            raise ValueError("zero-lag correlation must be positive")
-
-    @property
-    def window(self) -> int:
-        return self.lags.size
-
-    def matrix(self) -> np.ndarray:
-        m = self.window
-        idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-        return self.lags[idx]
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Eigenvalues in descending order with the matching orthonormal
-    eigenvector columns."""
-
+    lags: np.ndarray  # (M,)
     eigenvalues: np.ndarray  # (M,)
     eigenvectors: np.ndarray  # (M, M), column k pairs with eigenvalues[k]
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64))
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=np.float64))
-
-    @property
-    def window(self) -> int:
-        return self.eigenvalues.size
-
-
-@dataclass(frozen=True)
-class ComponentSet:
-    """Principal components (columns of pcs) and reconstructed components
-    (columns of rcs) for one decomposition."""
-
-    pcs: np.ndarray  # (N - M + 1, M)
     rcs: np.ndarray  # (N, M)
-    n: int
-    window: int
     completeness_error: float  # max |sum_k rc_k - series|
 
 
@@ -96,7 +54,7 @@ def check_window_size(window: int, n: int) -> None:
         raise WindowTooLarge(f"window {window} exceeds half the series length {n}")
 
 
-def lag_correlation(series, window: int) -> ToeplitzCorrelation:
+def lag_correlation(series, window: int) -> np.ndarray:
     """Lagged correlations of a standardized series (c_0 = 1 by construction)."""
     x = _as_values(series)
     n = x.size
@@ -112,7 +70,7 @@ def lag_correlation(series, window: int) -> ToeplitzCorrelation:
     lags = np.empty(window)
     for j in range(window):
         lags[j] = np.dot(x[: n - j], x[j:]) / (n - j)
-    return ToeplitzCorrelation(lags)
+    return lags
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -129,11 +87,19 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose(corr: ToeplitzCorrelation) -> SingularSpectrum:
-    """Orthonormal eigenbasis of the correlation matrix, eigenvalues sorted
-    descending (stable on ties), sign-normalized columns."""
-    c = corr.matrix()
-    m = corr.window
+def eigendecompose(lags) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the Toeplitz matrix with c_|j-k| at
+    (j, k): eigenvalues sorted descending (stable on ties), orthonormal
+    sign-normalized eigenvector columns."""
+    lags = np.asarray(lags, dtype=np.float64)
+    if lags.ndim != 1 or lags.size < 1:
+        raise ValueError("lags must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(lags)):
+        raise ValueError("lags must be finite")
+    if lags[0] <= 0.0:
+        raise ValueError("zero-lag correlation must be positive")
+    m = lags.size
+    c = lags[np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])]
     eigvals, eigvecs = np.linalg.eigh(c)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
@@ -148,21 +114,21 @@ def eigendecompose(corr: ToeplitzCorrelation) -> SingularSpectrum:
     trace_err = abs(eigvals.sum() - np.trace(c))
     if trace_err > TRACE_RTOL * max(1.0, abs(np.trace(c))):
         raise ConvergenceFailure(f"eigenvalue sum deviates from trace by {trace_err:.3e}")
-    return SingularSpectrum(eigvals, eigvecs)
+    return eigvals, eigvecs
 
 
-def principal_components(series, spectrum: SingularSpectrum) -> np.ndarray:
-    """Project every length-M window onto the eigenbasis.
+def principal_components(series, eigenvectors: np.ndarray) -> np.ndarray:
+    """Project every length-M window onto the (M, M) eigenbasis.
 
     Returns an (N - M + 1, M) matrix; column k is the k-th principal
     component series.
     """
     x = _as_values(series)
-    m = spectrum.window
+    m = eigenvectors.shape[0]
     if x.size < m:
         raise DimensionMismatch(f"series length {x.size} shorter than window {m}")
     windows = np.lib.stride_tricks.sliding_window_view(x, m)
-    return windows @ spectrum.eigenvectors
+    return windows @ eigenvectors
 
 
 def _averaging_weights(n: int, window: int) -> np.ndarray:
@@ -182,33 +148,31 @@ def _reconstruct_all(pcs: np.ndarray, eigvecs: np.ndarray, n: int) -> np.ndarray
     return out / _averaging_weights(n, window)[:, None]
 
 
-def decompose(series, window: int) -> tuple[ToeplitzCorrelation, SingularSpectrum, ComponentSet]:
+def decompose(series, window: int) -> Decomposition:
     """Full pipeline: lag correlations, eigenbasis, principal and
     reconstructed components, with the completeness identity checked."""
     x = _as_values(series)
-    corr = lag_correlation(x, window)
-    spectrum = eigendecompose(corr)
-    pcs = principal_components(x, spectrum)
-    rcs = _reconstruct_all(pcs, spectrum.eigenvectors, x.size)
+    lags = lag_correlation(x, window)
+    eigenvalues, eigenvectors = eigendecompose(lags)
+    pcs = principal_components(x, eigenvectors)
+    rcs = _reconstruct_all(pcs, eigenvectors, x.size)
     err = float(np.max(np.abs(rcs.sum(axis=1) - x)))
     if err > COMPLETENESS_TOL:
         raise ConvergenceFailure(f"component sum fails to reproduce the series (error {err:.3e})")
-    comps = ComponentSet(pcs=pcs, rcs=rcs, n=x.size, window=window, completeness_error=err)
-    return corr, spectrum, comps
+    return Decomposition(lags, eigenvalues, eigenvectors, rcs, err)
 
 
-def partial_reconstruction(components: ComponentSet, count: int) -> np.ndarray:
+def partial_reconstruction(dec: Decomposition, count: int) -> np.ndarray:
     """Sum of the first `count` reconstructed components (eigenvalue order)."""
-    if not 1 <= count <= components.window:
-        raise BadComponentCount(
-            f"component count must lie in [1, {components.window}], got {count}"
-        )
-    return components.rcs[:, :count].sum(axis=1)
+    window = dec.rcs.shape[1]
+    if not 1 <= count <= window:
+        raise BadComponentCount(f"component count must lie in [1, {window}], got {count}")
+    return dec.rcs[:, :count].sum(axis=1)
 
 
-def singular_spectrum_rows(spectrum: SingularSpectrum):
+def singular_spectrum_rows(eigenvalues):
     """(rank, log10 eigenvalue, clamped) per eigenvalue, rank 1-based in
     descending order; non-positive (or sub-floor) eigenvalues are clamped to
     1e-15 and flagged."""
-    for rank, lam in enumerate(spectrum.eigenvalues, start=1):
+    for rank, lam in enumerate(eigenvalues, start=1):
         yield rank, math.log10(max(lam, LOG_EIGENVALUE_FLOOR)), bool(lam < LOG_EIGENVALUE_FLOOR)

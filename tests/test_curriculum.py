@@ -12,7 +12,9 @@ from ssaforecast.curriculum import (
     sign_test_p,
     stage_counts,
 )
-from ssaforecast.errors import BadComponentCount, BadHorizon, BadStep, DivergenceDetected
+from ssaforecast.errors import (
+    BadComponentCount, BadHorizon, BadStep, ConfigError, DivergenceDetected,
+)
 from ssaforecast.mlp import init_network, train
 from ssaforecast.series import build_embedding, split_validation, standardize
 from ssaforecast.ssa import decompose, partial_reconstruction
@@ -23,11 +25,6 @@ PARAMS = StageParams(epochs=60, lr=0.05, momentum=0.9)
 @pytest.fixture(scope="module")
 def bench_series():
     return standardize(two_sine_benchmark(400, seed=0))
-
-
-def components(series, window):
-    _, _, comps = decompose(series, window)
-    return comps
 
 
 # -- stage_counts ---------------------------------------------------------------
@@ -62,12 +59,12 @@ def test_warm_start_continuity(bench_series, counts):
     starting from the seed's initial network, reproduces the recorded traces
     and handed-on states bitwise; a raw-only run is the baseline arm."""
     window, m, hidden, seed = 12, 5, 6, 5
-    comps = components(bench_series, window)
-    result = curriculum_train(bench_series, comps, m, counts, hidden, PARAMS, seed)
+    dec = decompose(bench_series, window)
+    result = curriculum_train(bench_series, dec, m, counts, hidden, PARAMS, seed)
 
     net = init_network(m, hidden, seed)
     for idx, p in enumerate(counts):
-        source = bench_series.values if p is None else partial_reconstruction(comps, p)
+        source = bench_series.values if p is None else partial_reconstruction(dec, p)
         split = split_validation(build_embedding(source, m), 0.10, seed + idx)
         state, trace = train(net, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
         assert tuple(trace) == result.stage_traces[idx]
@@ -78,7 +75,7 @@ def test_warm_start_continuity(bench_series, counts):
 
 def test_stage_traces_partition_epochs(bench_series):
     counts = stage_counts(12, 4)
-    result = curriculum_train(bench_series, components(bench_series, 12), 5, counts, 6, PARAMS,
+    result = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS,
                               seed=2)
     assert result.total_epochs == sum(len(t) for t in result.stage_traces)
     assert len(result.stage_traces) == len(result.states) == len(counts)
@@ -86,8 +83,8 @@ def test_stage_traces_partition_epochs(bench_series):
 
 def test_curriculum_bitwise_reproducible(bench_series):
     counts = stage_counts(12, 4)
-    a = curriculum_train(bench_series, components(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
-    b = curriculum_train(bench_series, components(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
+    a = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
+    b = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
     assert a.stage_traces == b.stage_traces
     np.testing.assert_array_equal(
         a.final_state.network.hidden_weights, b.final_state.network.hidden_weights
@@ -96,7 +93,7 @@ def test_curriculum_bitwise_reproducible(bench_series):
 
 def test_curriculum_rejects_oversized_stage(bench_series):
     with pytest.raises(BadComponentCount):
-        curriculum_train(bench_series, components(bench_series, 12), 5, (2, 40, None), 6, PARAMS,
+        curriculum_train(bench_series, decompose(bench_series, 12), 5, (2, 40, None), 6, PARAMS,
                          seed=0)
 
 
@@ -122,8 +119,7 @@ def test_full_reconstruction_trains_like_raw(bench_series):
     """Completeness consequence: the p = M source equals the raw series to
     1e-8, so identical training runs on the two sources stay equivalent."""
     window, m = 12, 5
-    _, _, comps = decompose(bench_series, window)
-    full = partial_reconstruction(comps, window)
+    full = partial_reconstruction(decompose(bench_series, window), window)
     assert np.max(np.abs(full - bench_series.values)) < 1e-8
     net = init_network(m, 6, seed=4)
     split_full = split_validation(build_embedding(full, m), 0.10, 11)
@@ -213,9 +209,15 @@ def test_comparison_rejects_oversized_horizon():
         )
 
 
+def test_comparison_rejects_empty_seeds():
+    with pytest.raises(ConfigError, match="seeds must be non-empty"):
+        compare_curriculum_baseline(two_sine_benchmark(100, seed=0), 12, 5, 6, PARAMS, 4,
+                                    seeds=[], horizon=10)
+
+
 def test_divergence_carries_stage_traces(bench_series):
     with pytest.raises(DivergenceDetected) as err:
-        curriculum_train(bench_series, components(bench_series, 12), 5, stage_counts(12, 6), 6,
+        curriculum_train(bench_series, decompose(bench_series, 12), 5, stage_counts(12, 6), 6,
                          StageParams(50, 1e6, 0.0), seed=0)
     assert hasattr(err.value, "stage_traces")
     assert isinstance(err.value.stage_traces[-1], tuple)

@@ -169,8 +169,8 @@ def test_outcomes_do_not_depend_on_lanes(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     tasks = [(pow, (2, i)) for i in range(5)] + [(int, ("not a number",))]
     outcomes = run_side_by_side(tasks, [5, 1, 4, 2, 3, 1])
-    assert [outcomes[i] for i in range(5)] == [1, 2, 4, 8, 16]
-    assert isinstance(outcomes[5], ValueError)
+    assert outcomes[:5] == [1, 2, 4, 8, 16]
+    assert isinstance(outcomes[5], ValueError) and len(outcomes) == 6
 
 
 def test_worker_is_stopped_once_its_tasks_are_not_needed(monkeypatch):
@@ -180,4 +180,4 @@ def test_worker_is_stopped_once_its_tasks_are_not_needed(monkeypatch):
     start = time.perf_counter()
     outcomes = run_side_by_side(tasks, [2, 1])
     assert time.perf_counter() - start < 10
-    assert isinstance(outcomes[0], ValueError) and 1 not in outcomes
+    assert isinstance(outcomes[0], ValueError) and len(outcomes) == 1

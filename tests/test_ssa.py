@@ -9,9 +9,6 @@ from ssaforecast.errors import BadComponentCount, DimensionMismatch, WindowTooLa
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import standardize
 from ssaforecast.ssa import (
-    ComponentSet,
-    SingularSpectrum,
-    ToeplitzCorrelation,
     _fix_signs,
     _reconstruct_all,
     decompose,
@@ -22,7 +19,7 @@ from ssaforecast.ssa import (
     singular_spectrum_rows,
 )
 
-from naive_ssa import naive_pipeline, naive_rc
+from naive_ssa import naive_matrix, naive_pipeline, naive_rc
 
 SQ2 = math.sqrt(2.0)
 
@@ -39,15 +36,15 @@ def ar1(n, phi, seed):
 # -- lag_correlation ---------------------------------------------------------
 
 def test_lag_correlation_hand_values():
-    corr = lag_correlation(np.array([1.0, -1.0, 1.0, -1.0]), 2)
-    assert corr.lags[0] == pytest.approx(1.0)
-    assert corr.lags[1] == pytest.approx(-1.0)
+    lags = lag_correlation(np.array([1.0, -1.0, 1.0, -1.0]), 2)
+    assert lags[0] == pytest.approx(1.0)
+    assert lags[1] == pytest.approx(-1.0)
 
 
 def test_zero_lag_is_one_after_standardization():
     x = standardize(ar1(300, 0.7, seed=4)).values
-    corr = lag_correlation(x, 20)
-    assert corr.lags[0] == pytest.approx(1.0, abs=1e-10)
+    lags = lag_correlation(x, 20)
+    assert lags[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_white_noise_lags_bounded():
@@ -55,8 +52,8 @@ def test_white_noise_lags_bounded():
     bound = 4.0 / math.sqrt(n)
     for seed in range(20):
         x = standardize(SplitMix64(seed).normals(n)).values
-        corr = lag_correlation(x, 35)
-        assert np.max(np.abs(corr.lags[1:])) < bound
+        lags = lag_correlation(x, 35)
+        assert np.max(np.abs(lags[1:])) < bound
 
 
 def test_window_too_large():
@@ -71,26 +68,41 @@ def test_wide_window_warns():
 
 
 def test_toeplitz_matrix_symmetry():
-    corr = ToeplitzCorrelation(np.array([1.0, 0.4, -0.2]))
-    c = corr.matrix()
+    # eigendecompose diagonalizes the symmetric matrix with c_|j-k| at (j, k)
+    lags = np.array([1.0, 0.4, -0.2])
+    vals, vecs = eigendecompose(lags)
+    c = naive_matrix(lags)
     np.testing.assert_array_equal(c, c.T)
     assert c[0, 2] == -0.2 and c[1, 2] == 0.4
+    np.testing.assert_allclose(vecs.T @ c @ vecs, np.diag(vals), atol=1e-12)
+
+
+@pytest.mark.parametrize("lags, message", [
+    (np.array([]), "non-empty"),
+    (np.ones((2, 2)), "non-empty"),
+    (np.array([1.0, np.inf]), "finite"),
+    (np.array([1.0, np.nan]), "finite"),
+    (np.array([0.0, 0.5]), "zero-lag correlation must be positive"),
+    (np.array([-1.0]), "zero-lag correlation must be positive"),
+])
+def test_eigendecompose_rejects_bad_lags(lags, message):
+    with pytest.raises(ValueError, match=message):
+        eigendecompose(lags)
 
 
 # -- eigendecompose ----------------------------------------------------------
 
 def test_identity_matrix():
-    spec = eigendecompose(ToeplitzCorrelation(np.array([1.0, 0.0, 0.0])))
-    np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
-    e = spec.eigenvectors
+    vals, e = eigendecompose(np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(vals, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(e.T @ e, np.eye(3), atol=1e-12)
 
 
 def test_two_by_two_closed_form():
-    spec = eigendecompose(ToeplitzCorrelation(np.array([1.0, 0.5])))
-    np.testing.assert_allclose(spec.eigenvalues, [1.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(spec.eigenvectors[:, 0], [1 / SQ2, 1 / SQ2], atol=1e-12)
-    np.testing.assert_allclose(spec.eigenvectors[:, 1], [1 / SQ2, -1 / SQ2], atol=1e-12)
+    vals, vecs = eigendecompose(np.array([1.0, 0.5]))
+    np.testing.assert_allclose(vals, [1.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(vecs[:, 0], [1 / SQ2, 1 / SQ2], atol=1e-12)
+    np.testing.assert_allclose(vecs[:, 1], [1 / SQ2, -1 / SQ2], atol=1e-12)
 
 
 def _power_iteration_eigh(c, iters=200000, tol=1e-12):
@@ -129,25 +141,24 @@ def _power_iteration_eigh(c, iters=200000, tol=1e-12):
 def test_random_toeplitz_vs_power_iteration_oracle():
     rng = SplitMix64(12)
     lags = np.concatenate([[1.0], rng.uniforms(7, -0.3, 0.3)])
-    corr = ToeplitzCorrelation(lags)
-    spec = eigendecompose(corr)
-    c = corr.matrix()
-    diag = spec.eigenvectors.T @ c @ spec.eigenvectors
-    np.testing.assert_allclose(diag, np.diag(spec.eigenvalues), atol=1e-9)
+    vals, vecs = eigendecompose(lags)
+    c = naive_matrix(lags)
+    diag = vecs.T @ c @ vecs
+    np.testing.assert_allclose(diag, np.diag(vals), atol=1e-9)
     oracle_vals, oracle_vecs = _power_iteration_eigh(c)
-    np.testing.assert_allclose(spec.eigenvalues, oracle_vals, atol=1e-8)
+    np.testing.assert_allclose(vals, oracle_vals, atol=1e-8)
     for k in range(8):
         # vectors agree up to sign
-        assert abs(abs(spec.eigenvectors[:, k] @ oracle_vecs[:, k]) - 1.0) < 1e-7
+        assert abs(abs(vecs[:, k] @ oracle_vecs[:, k]) - 1.0) < 1e-7
 
 
 def test_eigendecompose_matches_lapack_large():
     x = standardize(ar1(400, 0.6, seed=8)).values
-    spec = eigendecompose(lag_correlation(x, 100))
-    c = lag_correlation(x, 100).matrix()
-    assert np.max(np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(100))) < 1e-10
-    assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-    assert spec.eigenvalues.sum() == pytest.approx(np.trace(c), rel=1e-10)
+    lags = lag_correlation(x, 100)
+    vals, vecs = eigendecompose(lags)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(100))) < 1e-10
+    assert np.all(np.diff(vals) <= 1e-12)
+    assert vals.sum() == pytest.approx(np.trace(naive_matrix(lags)), rel=1e-10)
 
 
 def sign_entry(col):
@@ -159,16 +170,16 @@ def sign_entry(col):
 
 def test_sign_convention():
     x = standardize(ar1(200, 0.9, seed=3)).values
-    spec = eigendecompose(lag_correlation(x, 12))
+    _, vecs = eigendecompose(lag_correlation(x, 12))
     for k in range(12):
-        assert sign_entry(spec.eigenvectors[:, k]) > 0
+        assert sign_entry(vecs[:, k]) > 0
 
 
 def test_sign_ignores_last_ulp_ties():
     # symmetric and antisymmetric columns attain their largest magnitude at
     # both ends; a one-ulp nudge to either end must not move the sign entry
     x = standardize(ar1(300, 0.8, seed=11)).values
-    vectors = eigendecompose(lag_correlation(x, 9)).eigenvectors
+    _, vectors = eigendecompose(lag_correlation(x, 9))
     assert np.allclose(np.abs(vectors), np.abs(vectors[::-1]), atol=1e-12)
     ends = (0, vectors.shape[0] - 1)
     tied = [k for k in range(9) if np.argmax(np.abs(vectors[:, k])) in ends]
@@ -186,56 +197,56 @@ def test_sign_ignores_last_ulp_ties():
 
 def test_eigenvalue_sum_is_window_for_standardized_input():
     x = standardize(ar1(500, 0.5, seed=6)).values
-    spec = eigendecompose(lag_correlation(x, 24))
-    assert spec.eigenvalues.sum() == pytest.approx(24.0, abs=1e-8)
+    vals, _ = eigendecompose(lag_correlation(x, 24))
+    assert vals.sum() == pytest.approx(24.0, abs=1e-8)
 
 
 # -- principal_components ----------------------------------------------------
 
 def test_pcs_shifted_copies_for_identity_basis():
     x = standardize(ar1(60, 0.4, seed=7)).values
-    spec = eigendecompose(ToeplitzCorrelation(np.array([1.0, 0.0, 0.0, 0.0])))
-    pcs = principal_components(x, spec)
+    _, vecs = eigendecompose(np.array([1.0, 0.0, 0.0, 0.0]))
+    pcs = principal_components(x, vecs)
     for k in range(4):
         np.testing.assert_allclose(pcs[:, k], x[k : k + 57], atol=1e-12)
 
 
 def test_pcs_hand_example():
-    spec = SingularSpectrum(np.array([1.0, 1.0]), np.column_stack([[1 / SQ2, 1 / SQ2], [1 / SQ2, -1 / SQ2]]))
-    pcs = principal_components(np.array([1.0, 2.0, 3.0, 4.0]), spec)
+    vecs = np.column_stack([[1 / SQ2, 1 / SQ2], [1 / SQ2, -1 / SQ2]])
+    pcs = principal_components(np.array([1.0, 2.0, 3.0, 4.0]), vecs)
     np.testing.assert_allclose(pcs[:, 0], [3 / SQ2, 5 / SQ2, 7 / SQ2], atol=1e-12)
 
 
 def test_pc_variance_tracks_eigenvalue():
     x = standardize(ar1(20000, 0.8, seed=0)).values
-    _, spec, comps = decompose(x, 10)
-    variances = np.var(comps.pcs, axis=0)
+    dec = decompose(x, 10)
+    variances = np.var(principal_components(x, dec.eigenvectors), axis=0)
     for k in range(3):
-        assert variances[k] == pytest.approx(spec.eigenvalues[k], rel=0.10)
+        assert variances[k] == pytest.approx(dec.eigenvalues[k], rel=0.10)
 
 
 def test_pcs_dimension_mismatch():
-    spec = eigendecompose(ToeplitzCorrelation(np.array([1.0, 0.0, 0.0])))
+    _, vecs = eigendecompose(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
-        principal_components(np.array([1.0, 2.0]), spec)
+        principal_components(np.array([1.0, 2.0]), vecs)
 
 
 # -- reconstruction / completeness --------------------------------------------
 
 def test_window_one_degenerate():
     x = standardize(ar1(50, 0.3, seed=9)).values
-    _, spec, comps = decompose(x, 1)
-    np.testing.assert_allclose(comps.rcs[:, 0], x, atol=1e-12)
-    assert spec.eigenvectors[0, 0] == 1.0
+    dec = decompose(x, 1)
+    np.testing.assert_allclose(dec.rcs[:, 0], x, atol=1e-12)
+    assert dec.eigenvectors[0, 0] == 1.0
 
 
 def test_reconstruction_hand_example():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     e1 = np.array([1 / SQ2, 1 / SQ2])
     e2 = np.array([1 / SQ2, -1 / SQ2])
-    spec = SingularSpectrum(np.array([1.0, 1.0]), np.column_stack([e1, e2]))
-    pcs = principal_components(x, spec)
-    rcs = _reconstruct_all(pcs, spec.eigenvectors, 4)
+    vecs = np.column_stack([e1, e2])
+    pcs = principal_components(x, vecs)
+    rcs = _reconstruct_all(pcs, vecs, 4)
     np.testing.assert_allclose(rcs[:, 0], [1.5, 2.0, 3.0, 3.5], atol=1e-12)
     np.testing.assert_allclose(rcs[:, 0], naive_rc(pcs[:, 0], e1, 4, 2), atol=1e-12)
     np.testing.assert_allclose(rcs[:, 1], naive_rc(pcs[:, 1], e2, 4, 2), atol=1e-12)
@@ -252,78 +263,79 @@ def test_completeness_property(n, window, seed):
     if window > n // 2:
         window = max(1, n // 2)
     x = standardize(SplitMix64(seed).normals(n)).values
-    _, _, comps = decompose(x, window)
-    total = comps.rcs.sum(axis=1)
+    dec = decompose(x, window)
+    total = dec.rcs.sum(axis=1)
     assert np.max(np.abs(total - x)) < 1e-8
-    assert comps.pcs.shape == (n - window + 1, window)
+    assert dec.completeness_error == np.max(np.abs(total - x))
+    assert principal_components(x, dec.eigenvectors).shape == (n - window + 1, window)
 
 
 @pytest.mark.parametrize("n, window", [(400, 80), (120, 35), (37, 5)])
 def test_reconstruction_matches_naive_diagonal_averaging(n, window):
     x = standardize(ar1(n, 0.7, seed=5)).values
-    _, spec, comps = decompose(x, window)
+    dec = decompose(x, window)
+    pcs = principal_components(x, dec.eigenvectors)
     for k in (0, window // 2, window - 1):
-        want = naive_rc(comps.pcs[:, k], spec.eigenvectors[:, k], n, window)
-        np.testing.assert_allclose(comps.rcs[:, k], want, atol=1e-12)
+        want = naive_rc(pcs[:, k], dec.eigenvectors[:, k], n, window)
+        np.testing.assert_allclose(dec.rcs[:, k], want, atol=1e-12)
 
 
 # -- partial_reconstruction ----------------------------------------------------
 
 def test_full_reconstruction_is_series():
     x = standardize(ar1(300, 0.85, seed=2)).values
-    _, _, comps = decompose(x, 30)
-    np.testing.assert_allclose(partial_reconstruction(comps, 30), x, atol=1e-8)
+    dec = decompose(x, 30)
+    np.testing.assert_allclose(partial_reconstruction(dec, 30), x, atol=1e-8)
 
 
 def test_sinusoid_pair_captures_variance():
     t = np.arange(600.0)
     x = standardize(np.sin(2 * math.pi * t / 12.0 + 0.4)).values
-    _, _, comps = decompose(x, 24)
-    pair = partial_reconstruction(comps, 2)
+    dec = decompose(x, 24)
+    pair = partial_reconstruction(dec, 2)
     assert np.var(pair) / np.var(x) >= 0.95
 
 
 def test_telescoping_difference():
     x = standardize(ar1(200, 0.6, seed=13)).values
-    _, _, comps = decompose(x, 10)
-    diff = partial_reconstruction(comps, 3) - partial_reconstruction(comps, 2)
+    dec = decompose(x, 10)
+    diff = partial_reconstruction(dec, 3) - partial_reconstruction(dec, 2)
     # equal up to the roundoff of two independent partial sums
-    np.testing.assert_allclose(diff, comps.rcs[:, 2], atol=1e-14)
+    np.testing.assert_allclose(diff, dec.rcs[:, 2], atol=1e-14)
 
 
 def test_partial_reconstruction_bounds():
     x = standardize(ar1(100, 0.4, seed=14)).values
-    _, _, comps = decompose(x, 8)
+    dec = decompose(x, 8)
     for bad in (0, 9, -1):
         with pytest.raises(BadComponentCount):
-            partial_reconstruction(comps, bad)
+            partial_reconstruction(dec, bad)
 
 
 def test_partial_variance_monotone_in_p():
     x = standardize(ar1(800, 0.6, seed=102)).values
-    _, _, comps = decompose(x, 16)
-    variances = [np.var(partial_reconstruction(comps, p)) for p in range(1, 17)]
+    dec = decompose(x, 16)
+    variances = [np.var(partial_reconstruction(dec, p)) for p in range(1, 17)]
     assert np.all(np.diff(variances) >= -1e-10)
 
 
 # -- singular_spectrum_rows -------------------------------------------------------
 
 def test_spectrum_rows_powers_of_ten():
-    spec = SingularSpectrum(np.array([100.0, 1.0, 0.01]), np.eye(3))
-    assert list(singular_spectrum_rows(spec)) == [(1, 2.0, False), (2, 0.0, False), (3, -2.0, False)]
+    vals = np.array([100.0, 1.0, 0.01])
+    assert list(singular_spectrum_rows(vals)) == [(1, 2.0, False), (2, 0.0, False), (3, -2.0, False)]
 
 
 def test_spectrum_rows_rank_increasing():
     x = standardize(ar1(200, 0.5, seed=21)).values
-    spec = eigendecompose(lag_correlation(x, 10))
-    rows = list(singular_spectrum_rows(spec))
+    vals, _ = eigendecompose(lag_correlation(x, 10))
+    rows = list(singular_spectrum_rows(vals))
     assert [r[0] for r in rows] == list(range(1, 11))
     assert all(a[1] >= b[1] for a, b in zip(rows, rows[1:]))
 
 
 def test_spectrum_rows_clamp_zero():
-    spec = SingularSpectrum(np.array([1.0, 0.0]), np.eye(2))
-    rank, value, clamped = list(singular_spectrum_rows(spec))[1]
+    rank, value, clamped = list(singular_spectrum_rows(np.array([1.0, 0.0])))[1]
     assert clamped is True and value == -15.0
 
 
@@ -336,17 +348,17 @@ def assert_pipeline_matches_oracle(x, window, atol=1e-10):
     invariant under column flips), so columns are sign-aligned before
     comparison; everything else is compared directly.
     """
-    corr, spec, comps = decompose(x, window)
+    dec = decompose(x, window)
     lags, vals, vecs, pcs, rcs = naive_pipeline(x, window)
-    np.testing.assert_allclose(corr.lags, lags, atol=atol)
-    np.testing.assert_allclose(spec.eigenvalues, vals, atol=atol)
-    signs = np.sign(np.sum(spec.eigenvectors * vecs, axis=0))
-    np.testing.assert_allclose(spec.eigenvectors, vecs * signs, atol=atol)
-    np.testing.assert_allclose(comps.pcs, pcs * signs, atol=atol)
-    np.testing.assert_allclose(comps.rcs, rcs, atol=atol)
+    np.testing.assert_allclose(dec.lags, lags, atol=atol)
+    np.testing.assert_allclose(dec.eigenvalues, vals, atol=atol)
+    signs = np.sign(np.sum(dec.eigenvectors * vecs, axis=0))
+    np.testing.assert_allclose(dec.eigenvectors, vecs * signs, atol=atol)
+    np.testing.assert_allclose(principal_components(x, dec.eigenvectors), pcs * signs, atol=atol)
+    np.testing.assert_allclose(dec.rcs, rcs, atol=atol)
     for p in range(1, window + 1):
         np.testing.assert_allclose(
-            partial_reconstruction(comps, p), rcs[:, :p].sum(axis=1), atol=atol
+            partial_reconstruction(dec, p), rcs[:, :p].sum(axis=1), atol=atol
         )
 
 

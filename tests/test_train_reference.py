@@ -125,11 +125,11 @@ def test_warm_started_sunspot_curriculum_with_patience(sunspots):
     patience 200), each started from the trainer's best network of the
     previous stage; some stages stop on patience and some run their full
     budget."""
-    _, _, comps = decompose(sunspots, 35)
+    dec = decompose(sunspots, 35)
     net = init_network(5, 10, seed=0)
     lengths = []
     for idx, p in enumerate([*range(2, 35, 2), 35, None]):
-        source = sunspots.values if p is None else partial_reconstruction(comps, p)
+        source = sunspots.values if p is None else partial_reconstruction(dec, p)
         split = split_validation(build_embedding(source, 5), 0.10, idx)
         state, trace = assert_runs_agree(net, split, 600, 0.05, 0.9, patience=200)
         if len(trace) < 600:
