@@ -11,8 +11,9 @@ sides the workload seed `--seed` + i; `--seconds` defaults to BENCHMARK.json's
 every pair, each side's median and quartiles, the number of pairs the
 checkout wins (ties count for neither side), and whether the gap between the
 medians exceeds the parent's interquartile range.  A gain may be claimed
-only with at least nine wins in ten and that gap; a median worse than the
-parent's by more than the metric's bound is a regression.
+only with at least nine wins in ten, that gap and no more failed operations
+than the parent; a median worse than the parent's by more than the metric's
+bound is a regression.
 
 The parent is exported with ``git archive`` rather than checked out as a
 worktree, so the run registers nothing in the repository and leaves nothing
@@ -80,10 +81,10 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s per run, parent {args.parent}")
+    failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
     for side, results in runs.items():
-        failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
-        print(f"  {side}: {failed} of {attempted} operations failed")
+        print(f"  {side}: {failed[side]} of {attempted} operations failed")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         before = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -100,7 +101,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  change median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]  ({change:+.1%})")
         print(f"  change wins {wins}/{args.pairs}; |median gap| {abs(cm - pm):.4g} vs parent "
               f"IQR {p3 - p1:.4g}")
-        gain = wins >= 0.9 * args.pairs and abs(cm - pm) > p3 - p1 and worse < 0
+        # a change that fails more operations than the parent shows no gain
+        gain = (wins >= 0.9 * args.pairs and abs(cm - pm) > p3 - p1 and worse < 0
+                and failed["change"] <= failed["parent"])
         verdict = "gain" if gain else "regression" if worse > metric["bound"] else "no gain shown"
         print(f"  verdict: {verdict}")
     return 0

@@ -9,7 +9,7 @@ from .curriculum import (
     error_vs_pc_curve,
     stage_counts,
 )
-from .forecast import ForecastMetrics, ForecastResult, evaluate, forecast_series, multi_step_predict
+from .forecast import ForecastResult, forecast_series, multi_step_predict
 from .mlp import Batch, Network, backprop_gradient, forward, gd_step, init_network, mse, train
 from .series import (
     EmbeddingDataset,

@@ -169,24 +169,25 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     std = standardize(raw)
     out = Path(config.output_dir)
     try:
-        result = fc.forecast_series(net, std, config.horizon, raw.timestamps)
+        result = fc.forecast_series(net, std, config.horizon)
     except NonFiniteOutput as exc:
         write_json(
             out / "forecast_partial.json",
             {"error": str(exc), "partial_standardized": list(exc.partial), "config_echo": echo},
         )
         raise
-    write_csv(
-        out / "forecast.csv",
-        ["timestamp", "prediction"],
-        zip(result.timestamps, result.predictions),
-    )
-    peak_time, peak_value = result.peak()
+    # the time axis extended at the source spacing
+    ts = raw.timestamps
+    step = (ts[-1] - ts[0]) / (ts.size - 1)
+    timestamps = ts[-1] + step * np.arange(1, config.horizon + 1)
+    write_csv(out / "forecast.csv", ["timestamp", "prediction"], zip(timestamps, result.predictions))
+    peak = int(np.argmax(result.predictions))
+    peak_time, peak_value = float(timestamps[peak]), float(result.predictions[peak])
     write_json(
         out / "forecast.json",
         {
             "horizon": result.horizon,
-            "timestamps": result.timestamps,
+            "timestamps": timestamps,
             "predictions": result.predictions,
             "standardized_predictions": result.standardized_predictions,
             "seed_window": result.seed_window,

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadHorizon, BadStep, ConfigError, DivergenceDetected, RuntimeFailure
-from .forecast import evaluate, multi_step_predict
+from .forecast import forecast_series
 from .mlp import Batch, TraceEntry, TrainState, forward_batch, init_network, mse, train
-from .series import StandardizedSeries, build_embedding, destandardize, split_validation, standardize
+from .series import StandardizedSeries, build_embedding, split_validation, standardize
 from .ssa import Decomposition, decompose, partial_reconstruction
 
 DEFAULT_VALIDATION_FRACTION = 0.10
@@ -166,7 +166,6 @@ class SeedComparison:
 @dataclass(frozen=True)
 class ComparisonResult:
     per_seed: tuple[SeedComparison, ...]
-    horizon: int
     curve: PcCurve | None = None
 
     def median(self, attr: str) -> float:
@@ -312,18 +311,17 @@ def _compare_seed(
                            pin_split=True)
     base = curriculum_train(std, None, embedding, (None,), hidden,
                             replace(params, epochs=cur.total_epochs), seed, fraction)
-    seed_window = std.values[-embedding:]
-    cur_pred, base_pred = (
-        destandardize(multi_step_predict(run.final_state.network, seed_window, holdout.size),
-                      std.mean, std.scale)
+    cur_rmse, base_rmse = (
+        math.sqrt(mse(forecast_series(run.final_state.network, std, holdout.size).predictions,
+                      holdout))
         for run in (cur, base)
     )
     return SeedComparison(
         seed=seed,
         curriculum_validation_mse=cur.final_state.validation_mse,
         baseline_validation_mse=base.final_state.validation_mse,
-        curriculum_forecast_rmse=evaluate(cur_pred, holdout).rmse,
-        baseline_forecast_rmse=evaluate(base_pred, holdout).rmse,
+        curriculum_forecast_rmse=cur_rmse,
+        baseline_forecast_rmse=base_rmse,
         curriculum_epochs=cur.total_epochs,
         baseline_epochs=base.total_epochs,
     )
@@ -389,4 +387,4 @@ def compare_curriculum_baseline(
         failure.curve = outcomes[0] if outcomes else None
         failure.completed_seeds = tuple(outcomes[1:])
         raise failure
-    return ComparisonResult(per_seed=tuple(outcomes[1:]), horizon=horizon, curve=outcomes[0])
+    return ComparisonResult(per_seed=tuple(outcomes[1:]), curve=outcomes[0])

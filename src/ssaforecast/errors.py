@@ -129,11 +129,3 @@ class NonFiniteOutput(RuntimeFailure):
         self.partial = list(partial) if partial is not None else []
         super().__init__(message)
 
-
-class ZeroVarianceTargets(RuntimeFailure):
-    """Normalized error is undefined for constant targets; the plain RMSE is
-    still available on the exception."""
-
-    def __init__(self, rmse: float):
-        self.rmse = rmse
-        super().__init__(f"targets have zero variance; nrmse undefined (rmse={rmse})")

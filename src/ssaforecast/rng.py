@@ -38,8 +38,10 @@ def _mix64(z: int) -> int:
 
 
 class SplitMix64:
-    """Seeded counter-based generator; distinct ``stream`` values give
-    independent sequences for the same seed."""
+    """Seeded counter-based generator.  ``stream`` offsets the start: for
+    the same seed, stream k's draws are stream 0's from draw k + 1 on, so
+    distinct streams overlap rather than being independent (ROADMAP
+    item 2)."""
 
     def __init__(self, seed: int, stream: int = 0):
         self._state = (_mix64(seed & _MASK64) + (stream & _MASK64) * _PHI) & _MASK64

@@ -278,13 +278,22 @@ def test_predict_mismatched_embedding_exit_2(workdir, capsys):
 
 def test_predict_emits_peak(workdir):
     assert main(["train", "--config", "golden_config.json"]) == 0
-    assert main(["predict", "--config", "golden_config.json",
+    # the tiny series on a monthly time axis, in year fractions
+    lines = read("tiny_series.csv").decode().splitlines()
+    values = [line.split(",")[1] for line in lines[1:]]
+    times = 1990.0 + np.arange(len(values)) / 12.0
+    rows = [f"{t:.17g},{v}" for t, v in zip(times, values)]
+    Path("monthly.csv").write_text("\n".join([lines[0], *rows]) + "\n")
+    assert main(["predict", "--config", "golden_config.json", "--set", "input_csv=monthly.csv",
                  "--network", "out/network.json"]) == 0
     doc = json.loads(read("out/forecast.json"))
     assert doc["peak_prediction"] == max(doc["predictions"])
     idx = doc["predictions"].index(doc["peak_prediction"])
     assert doc["peak_timestamp"] == doc["timestamps"][idx]
     assert len(doc["predictions"]) == doc["horizon"] == 6
+    # the time axis continues at the source spacing, one step after the last source time
+    np.testing.assert_allclose(np.diff(doc["timestamps"]), 1.0 / 12.0, atol=1e-9)
+    assert doc["timestamps"][0] == pytest.approx(times[-1] + 1.0 / 12.0)
 
 
 # -- compare ----------------------------------------------------------------------

@@ -188,7 +188,6 @@ def test_paired_summary_counts_wins_ties_and_median_difference():
     res = ComparisonResult(
         per_seed=(record(0, 1.0, 2.0), record(1, 3.0, 3.0), record(2, 5.0, 4.0),
                   record(3, 0.5, 1.0)),
-        horizon=5,
     )
     assert res.paired("validation_mse") == {
         "curriculum_wins": 2,

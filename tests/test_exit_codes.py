@@ -5,6 +5,7 @@ temp file is left behind."""
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -111,3 +112,18 @@ def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon):
     assert err == "error: ConfigError: horizon must be at least 1\n"
     assert not Path("out/forecast.csv").exists()
     assert_contract(code, err, workdir)
+
+
+def test_constant_holdout_compare_exit_0(tmp_path, monkeypatch):
+    # a sine whose last 50 samples, the held-out part, are constant
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(CONFIG))
+    values = [0.5 if t >= 150 else math.sin(2.0 * math.pi * t / 12.0) for t in range(200)]
+    rows = [f"{t},{v!r}" for t, v in enumerate(values)]
+    Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    code, err = run_main(["compare", "--config", "config.json", "--set", "window=10",
+                          "--set", "stage_epochs=5", "--set", "compare_horizon=50"])
+    assert code == 0, err
+    assert_contract(code, err, tmp_path)
+    medians = json.loads(Path("out/comparison.json").read_text())["medians"]
+    assert math.isfinite(medians["curriculum_forecast_rmse"])

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ssaforecast.errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    NonFiniteOutput,
-    ZeroVarianceTargets,
-)
-from ssaforecast.forecast import evaluate, forecast_series, multi_step_predict
+from ssaforecast.errors import DimensionMismatch, NonFiniteOutput
+from ssaforecast.forecast import forecast_series, multi_step_predict
 from ssaforecast.mlp import Network, forward, init_network, train
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import build_embedding, split_validation, standardize
@@ -108,60 +103,20 @@ def test_multi_step_does_not_mutate_inputs():
     np.testing.assert_array_equal(w, [0.1, 0.2, 0.3])
 
 
-# -- evaluate --------------------------------------------------------------------
-
-def test_evaluate_perfect():
-    metrics = evaluate([1.0, 2.0], [1.0, 2.0])
-    assert metrics.rmse == 0.0 and metrics.nrmse == 0.0
-
-
-def test_evaluate_hand_values():
-    metrics = evaluate([0.0, 0.0], [1.0, -1.0])
-    assert metrics.rmse == pytest.approx(1.0)
-    assert metrics.nrmse == pytest.approx(1.0)
-    assert metrics.horizon == 2
-
-
-def test_evaluate_constant_targets():
-    with pytest.raises(ZeroVarianceTargets) as err:
-        evaluate([1.0, 2.0], [3.0, 3.0])
-    assert err.value.rmse == pytest.approx(np.sqrt((4.0 + 1.0) / 2.0))
-
-
-def test_evaluate_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        evaluate([1.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        evaluate([], [])
-
-
-def test_evaluate_scale_invariance():
-    rng = SplitMix64(8)
-    preds = rng.normals(40)
-    actual = rng.normals(40)
-    std_metrics = evaluate(preds, actual)
-    scaled = evaluate(3.5 * preds + 2.0, 3.5 * actual + 2.0)
-    assert scaled.rmse == pytest.approx(3.5 * std_metrics.rmse, rel=1e-12)
-    assert scaled.nrmse == pytest.approx(std_metrics.nrmse, rel=1e-12)
-
-
 # -- forecast_series ----------------------------------------------------------------
 
-def test_forecast_series_round_trip_and_timestamps():
+def test_forecast_series_round_trip():
     rng = SplitMix64(3)
     values = 50.0 + 12.0 * rng.normals(60)
-    ts = 2000.0 + np.arange(60) / 12.0
     std = standardize(values)
     net = init_network(5, 6, seed=4)
-    result = forecast_series(net, std, 10, ts)
+    result = forecast_series(net, std, 10)
     assert result.horizon == 10
     np.testing.assert_allclose(
         result.standardized_predictions * std.scale + std.mean,
         result.predictions,
         atol=1e-12,
     )
-    np.testing.assert_allclose(np.diff(result.timestamps), 1.0 / 12.0, atol=1e-9)
-    assert result.timestamps[0] == pytest.approx(ts[-1] + 1.0 / 12.0)
     np.testing.assert_array_equal(result.seed_window, std.values[-5:])
 
 
@@ -169,15 +124,10 @@ def test_forecast_series_rejects_zero_horizon():
     std = standardize(SplitMix64(1).normals(30))
     net = init_network(5, 3, seed=0)
     with pytest.raises(ValueError):
-        forecast_series(net, std, 0, np.arange(30.0))
+        forecast_series(net, std, 0)
 
 
-def test_forecast_peak():
-    rng = SplitMix64(9)
-    values = rng.normals(40)
-    std = standardize(values)
-    net = init_network(3, 5, seed=11)
-    result = forecast_series(net, std, 8, np.arange(40.0))
-    t, v = result.peak()
-    i = int(np.argmax(result.predictions))
-    assert v == result.predictions[i] and t == result.timestamps[i]
+def test_forecast_series_rejects_short_series():
+    std = standardize(SplitMix64(1).normals(4))
+    with pytest.raises(DimensionMismatch):
+        forecast_series(init_network(5, 3, seed=0), std, 3)

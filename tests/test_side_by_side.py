@@ -14,7 +14,7 @@ import pytest
 from ssaforecast import curriculum
 from ssaforecast.cli import main
 from ssaforecast.curriculum import assign_lanes, run_side_by_side
-from ssaforecast.errors import DivergenceDetected
+from ssaforecast.errors import DivergenceDetected, NonFiniteOutput
 
 SEEDS = "0,1,2"
 
@@ -108,18 +108,36 @@ def test_failure_document_identical_on_one_and_two_lanes(workdir, monkeypatch, c
 
 
 def test_worker_error_keeps_its_message(workdir, monkeypatch, capsys):
-    # a constant holdout makes every seed's forecast error undefined; the
-    # first seed fails in a worker, so its error crosses a process boundary
+    # seed 1 runs in the worker lane on two lanes, so its error, with the
+    # partial forecast it carries, crosses a process boundary
+    compare_seed = curriculum._compare_seed
+
+    def failing_seed(*args):
+        *_, seed, fraction = args  # _compare_seed(..., seed, fraction)
+        if seed == 1:
+            raise NonFiniteOutput("injected non-finite forecast in seed 1", partial=[0.5, -0.25])
+        return compare_seed(*args)
+
+    monkeypatch.setattr(curriculum, "_compare_seed", failing_seed)
+    serial, side_by_side = (compare(monkeypatch, capsys, cpus) for cpus in (1, 2))
+    assert serial == side_by_side
+    assert serial["code"] == 1
+    assert serial["err"] == "error: NonFiniteOutput: injected non-finite forecast in seed 1\n"
+
+
+def test_constant_holdout_compares_on_one_and_two_lanes(workdir, monkeypatch, capsys):
+    # a forecast error is defined for a constant holdout, so every seed is scored
     lines = Path("tiny_series.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     constant_tail = [f"{t},{v if i < len(rows) - 20 else '5.0'}" for i, (t, v) in enumerate(rows)]
     Path("const_tail.csv").write_text("\n".join([lines[0], *constant_tail]) + "\n")
     overrides = ("--set", "input_csv=const_tail.csv", "--set", "compare_horizon=20")
     serial, side_by_side = (compare(monkeypatch, capsys, cpus, *overrides) for cpus in (1, 2))
-    assert serial["code"] == side_by_side["code"] == 1
-    assert side_by_side["err"] == serial["err"]
-    assert serial["err"].count("zero variance") == 1
+    assert serial["code"] == side_by_side["code"] == 0
+    assert side_by_side["comparison"] == serial["comparison"]
     assert side_by_side["curve"] == serial["curve"] is not None
+    doc = json.loads(serial["comparison"])
+    assert [r["seed"] for r in doc["per_seed"]] == [0, 1, 2]
 
 
 # -- (c) a worker that dies ends the command with an error document ----------------------
