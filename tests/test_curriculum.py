@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ssaforecast.curriculum import (
 from ssaforecast.errors import (
     BadComponentCount, BadHorizon, BadStep, ConfigError, DivergenceDetected,
 )
+from ssaforecast.forecast import forecast_series
 from ssaforecast.mlp import init_network, train
 from ssaforecast.series import build_embedding, split_validation, standardize
 from ssaforecast.ssa import decompose, partial_reconstruction
@@ -167,6 +170,27 @@ def test_comparison_deterministic():
         values, 12, 5, 6, StageParams(30, 0.05, 0.9), 4, seeds=[5], horizon=25
     )
     assert a.per_seed == b.per_seed
+
+
+def test_comparison_rmse_scores_the_predict_path():
+    # each arm's RMSE is that of forecast_series, in original units, against
+    # the held-out tail of the series
+    values = two_sine_benchmark(400, seed=3)
+    params = StageParams(30, 0.05, 0.9)
+    res = compare_curriculum_baseline(values, 12, 5, 6, params, 4, seeds=[5], horizon=25)
+    fit, holdout = values[:-25], values[-25:]
+    std = standardize(fit)
+    cur = curriculum_train(std, decompose(std, 12), 5, stage_counts(12, 4), 6, params, 5,
+                           pin_split=True)
+    base = curriculum_train(std, None, 5, (None,), 6, replace(params, epochs=cur.total_epochs), 5)
+    cur_rmse, base_rmse = (
+        np.sqrt(np.mean((forecast_series(run.final_state.network, std, 25).predictions
+                         - holdout) ** 2))
+        for run in (cur, base)
+    )
+    record = res.per_seed[0]
+    assert record.curriculum_forecast_rmse == pytest.approx(cur_rmse, rel=1e-12)
+    assert record.baseline_forecast_rmse == pytest.approx(base_rmse, rel=1e-12)
 
 
 @pytest.mark.parametrize("wins, losses, p", [

@@ -120,6 +120,19 @@ def test_forecast_series_round_trip():
     np.testing.assert_array_equal(result.seed_window, std.values[-5:])
 
 
+def test_forecast_series_hand_values():
+    # copy the newest value at half gain: the standardized forecast halves
+    # each step from the last standardized value, then maps back to units
+    values = np.array([2.0, 4.0, 6.0, 8.0])
+    std = standardize(values)
+    result = forecast_series(linear_net([0.0, 1.0], gain=0.5), std, 3)
+    last = (8.0 - 5.0) / np.sqrt(5.0)  # mean 5, population std sqrt(5)
+    np.testing.assert_allclose(result.standardized_predictions,
+                               [last / 2, last / 4, last / 8], rtol=1e-9)
+    np.testing.assert_allclose(result.predictions, [6.5, 5.75, 5.375], rtol=1e-9)
+    np.testing.assert_array_equal(std.values, (values - 5.0) / np.sqrt(5.0))
+
+
 def test_forecast_series_rejects_zero_horizon():
     std = standardize(SplitMix64(1).normals(30))
     net = init_network(5, 3, seed=0)
