@@ -2,6 +2,7 @@
 """Paired benchmark runs of a parent commit against this checkout.
 
     python3 scripts/bench_pairs.py PARENT_REF --workload W [--pairs 10] [--seed 1] [--seconds S]
+                                   [--json PATH]
 
 Exports PARENT_REF's committed files into a temporary directory, then runs
 ``bench/run.py --trace 0`` of each side alternately, `--pairs` times, with
@@ -14,6 +15,11 @@ medians exceeds the parent's interquartile range.  A gain may be claimed
 only with at least nine wins in ten, that gap and no more failed operations
 than the parent; a median worse than the parent's by more than the metric's
 bound is a regression.
+
+``--json PATH`` also writes all of that to PATH, for a committed bench
+trajectory: per metric the pair values, each side's median and quartiles,
+the wins and the verdict; each side's failed and attempted operations; and
+each side's toolchain fingerprint from the report of its first run.
 
 The parent is exported with ``git archive`` rather than checked out as a
 worktree, so the run registers nothing in the repository and leaves nothing
@@ -42,13 +48,15 @@ def export(ref: str, dest: Path) -> None:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics line of one untraced benchmark run; exits on a failed run."""
+    """The metrics line of one untraced benchmark run, with the toolchain
+    fingerprint of the report printed before it; exits on a failed run."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *report, result = proc.stdout.strip().splitlines()
+    return {**json.loads(result), "fingerprint": json.loads("\n".join(report))["fingerprint"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -63,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--json", type=Path, metavar="PATH")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
@@ -81,10 +90,12 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s per run, parent {args.parent}")
+    seeds = [args.seed + i for i in range(args.pairs)]
     failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
-    for side, results in runs.items():
-        attempted = sum(r["attempted"] for r in results)
-        print(f"  {side}: {failed[side]} of {attempted} operations failed")
+    attempted = {side: sum(r["attempted"] for r in results) for side, results in runs.items()}
+    for side in runs:
+        print(f"  {side}: {failed[side]} of {attempted[side]} operations failed")
+    summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         before = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -95,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         change = (cm - pm) / pm if pm else 0.0
         worse = change if lower else -change
         print(f"\n{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:g})")
-        for i, (b, a) in enumerate(zip(before, after)):
-            print(f"  seed {args.seed + i:3d}: parent {b:.6g}  change {a:.6g}")
+        for seed, b, a in zip(seeds, before, after):
+            print(f"  seed {seed:3d}: parent {b:.6g}  change {a:.6g}")
         print(f"  parent median {pm:.6g} [q1 {p1:.6g}, q3 {p3:.6g}]")
         print(f"  change median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]  ({change:+.1%})")
         print(f"  change wins {wins}/{args.pairs}; |median gap| {abs(cm - pm):.4g} vs parent "
@@ -106,6 +117,20 @@ def main(argv: list[str] | None = None) -> int:
                 and failed["change"] <= failed["parent"])
         verdict = "gain" if gain else "regression" if worse > metric["bound"] else "no gain shown"
         print(f"  verdict: {verdict}")
+        summary[name] = {
+            **metric,
+            "parent": {"values": before, "q1": p1, "median": pm, "q3": p3},
+            "change": {"values": after, "q1": c1, "median": cm, "q3": c3},
+            "relative_change": change, "change_wins": wins, "verdict": verdict,
+        }
+    if args.json:
+        record = {
+            "workload": args.workload, "parent": args.parent, "pairs": args.pairs,
+            "seconds": seconds, "seeds": seeds, "failed": failed, "attempted": attempted,
+            "fingerprint": {side: results[0]["fingerprint"] for side, results in runs.items()},
+            "metrics": summary,
+        }
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

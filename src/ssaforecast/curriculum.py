@@ -76,17 +76,22 @@ def curriculum_train(
     caller and shared by all stages and seeds; a raw-only run needs none.
     Each stage embeds its own source series (filtered inputs predict filtered
     targets), re-draws the validation split with seed + stage index, and
-    hands its returned parameters to the next stage.  With pin_split=True all
-    stages reuse the seed-drawn split (same pair indices throughout), which
-    makes a run directly comparable to a baseline run on the same seed.
+    hands its returned parameters to the next stage.  With pin_split=True the
+    split is drawn once, with the seed, and every stage reuses its pair
+    indices, which makes a run directly comparable to a baseline run on the
+    same seed.
     """
     net = init_network(embedding, hidden, seed)
     states: list[TrainState] = []
     traces: list[tuple[TraceEntry, ...]] = []
     for idx, p in enumerate(counts):
         source = series.values if p is None else partial_reconstruction(dec, p)
-        split = split_validation(build_embedding(source, embedding), fraction,
-                                 seed if pin_split else seed + idx)
+        pairs = build_embedding(source, embedding)
+        if pin_split and idx:  # the first stage's pair indices, not drawn again
+            split = replace(split, train=pairs.subset(split.train_indices),
+                            validation=pairs.subset(split.validation_indices))
+        else:
+            split = split_validation(pairs, fraction, seed if pin_split else seed + idx)
         try:
             state, trace = train(net, split, params.epochs, params.lr, params.momentum, patience)
         except DivergenceDetected as exc:

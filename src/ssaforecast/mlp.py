@@ -107,12 +107,14 @@ def init_network(input_dim: int, hidden_dim: int, seed: int) -> Network:
 
 class Batch:
     """(n, m) inputs and their n targets, prepared once for the passes of an
-    H-unit network: the inputs with a ones column appended ([x|1], to meet
-    [W | b]) and scratch arrays for every intermediate, so that a pass
-    allocates no array.  The arrays a pass returns are this scratch, which
-    the batch's next pass overwrites.  `targets` is None for a batch that is
-    only run forward.  `inputs` is a view of the prepared inputs: writing to
-    it feeds the next pass new inputs without preparing again."""
+    H-unit network.  The inputs are stored transposed with a ones row
+    appended, as one C-contiguous (m+1, n) array `x1t` that [W | b] meets,
+    so every pass runs along n; the hidden activations are scratch of shape
+    (H, n), and no pass allocates an array.  The arrays a pass returns are
+    this scratch, which the batch's next pass overwrites.  `targets` is None
+    for a batch that is only run forward.  `inputs` is an (n, m) view of
+    `x1t`: writing to it feeds the next pass new inputs without preparing
+    again."""
 
     def __init__(self, inputs, targets, hidden_dim: int):
         x = np.asarray(inputs, dtype=np.float64)
@@ -125,31 +127,30 @@ class Batch:
                 raise DimensionMismatch(f"{targets.shape} targets for {n} inputs")
         self.targets = targets
         self.layer_shape = (hidden_dim, m + 1)
-        self.x1 = np.empty((n, m + 1))
-        self.x1[:, :-1] = x
-        self.x1[:, -1] = 1.0
-        self.inputs = self.x1[:, :-1]
-        self.h = np.empty((n, hidden_dim))
+        self.x1t = np.empty((m + 1, n))
+        self.x1t[:-1] = x.T
+        self.x1t[-1] = 1.0
+        self.inputs = self.x1t[:-1].T
+        self.h = np.empty((hidden_dim, n))
         self.err = np.empty(n)
         if targets is not None:  # scratch for the gradient
             self.sq = np.empty(n)
-            self.dz = np.empty((n, hidden_dim))
             self.grad = np.empty(hidden_dim * (m + 2) + 1)
             self.grad_views = _views(self.grad, hidden_dim, m)
 
 
 def _forward(net: Network, batch: Batch) -> np.ndarray:
-    """The kernel of `forward_batch`: h = tanh([x|1] [W|b]^T) into `batch.h`
-    and the predictions h w_out + b_out into `batch.err`, which it returns.
+    """The kernel of `forward_batch`: h = tanh([W|b] [x|1]^T) into `batch.h`
+    and the predictions w_out h + b_out into `batch.err`, which it returns.
     `backprop_gradient` calls it directly, so that `forward_batch` is only
     ever a forward-only pass."""
     if net.hidden_layer.shape != batch.layer_shape:
         raise DimensionMismatch(
             f"batch for layer {batch.layer_shape}, network {net.hidden_layer.shape}")
     h, pred = batch.h, batch.err
-    np.matmul(batch.x1, net.hidden_layer.T, out=h)
+    np.matmul(net.hidden_layer, batch.x1t, out=h)
     np.tanh(h, out=h)
-    np.matmul(h, net.output_weights[0], out=pred)
+    np.matmul(net.output_weights[0], h, out=pred)
     pred += net.output_bias[0]
     return pred
 
@@ -187,23 +188,29 @@ def _mean_square(err: np.ndarray, out: np.ndarray | None = None) -> float:
 def backprop_gradient(net: Network, batch: Batch) -> tuple[float, np.ndarray]:
     """(loss, grad): the batch MSE and its exact gradient with respect to
     every parameter, from one forward pass; `grad` is a flat vector in the
-    network's layout (`_views`), the batch's scratch."""
+    network's layout (`_views`), the batch's scratch.
+
+    The hidden-layer gradient is taken as ((1 - h^2) * dout) [x|1], an
+    (H, m+1) product whose rows are then scaled by w_out: the same sum as
+    (outer(dout, w_out) * (1 - h^2))^T [x|1], without the (n, H) outer
+    product, rounded in another order."""
     err = _forward(net, batch)
     err -= batch.targets  # pred - t
     loss = _mean_square(err, out=batch.sq)
-    h, dz, g = batch.h, batch.dz, batch.grad_views
+    h, g = batch.h, batch.grad_views
     # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
     dout = err
     dout *= 2.0 / err.size
-    np.matmul(dout, h, out=g["output_weights"][0])
+    np.matmul(h, dout, out=g["output_weights"][0])
     g["output_bias"][0] = dout.sum()
-    # dz = outer(dout, w_out) * (1 - h^2), with h overwritten by 1 - h^2
-    np.multiply(dout[:, None], net.output_weights[0], out=dz)
+    # h overwritten by (1 - h^2) * dout, each row scaled by dout
     h *= h
     np.subtract(1.0, h, out=h)
-    dz *= h
-    # the ones column of [x|1] makes the last column the hidden-bias gradient
-    np.matmul(dz.T, batch.x1, out=g["hidden_layer"])
+    h *= dout
+    # the ones row of [x|1]^T makes the last column the hidden-bias gradient
+    layer = g["hidden_layer"]
+    np.matmul(h, batch.x1t.T, out=layer)
+    layer *= net.output_weights.T
     return loss, batch.grad
 
 

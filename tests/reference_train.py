@@ -12,11 +12,13 @@ and velocity (`ReferenceState`).  They share only the Network class, the
 trace entry and the error classes with ssaforecast.mlp, so tests can check
 the lean trainer against this loop.
 
-The ``allocating_`` functions at the end are the lean trainer as it was
-before its epoch became allocation-free: the same arithmetic, but each pass
-rebuilds [x|1] and every intermediate, and each step builds a new Network.
-They are kept verbatim, renamed and made to call one another, so tests can
-pin the in-place trainer to them bitwise.
+The ``allocating_`` functions at the end are the lean trainer's arithmetic
+without its prepared batches: the (H, n) layout (inputs stored transposed,
+hidden activations as (H, n), the hidden gradient taken without the outer
+product), but each pass rebuilds [x|1]^T and every intermediate, and each
+step builds a new Network.  Tests pin the in-place trainer to them bitwise.
+The ``reference_`` gradient keeps the (n, H) outer-product arithmetic the
+trainer had before that layout.
 """
 
 import math
@@ -201,11 +203,13 @@ def reference_train(
 # -- the allocating lean trainer ----------------------------------------------------
 
 def allocating_with_ones(x: np.ndarray) -> np.ndarray:
-    """The (n, m) batch with a ones column appended, to meet [W | b]."""
-    x1 = np.empty((x.shape[0], x.shape[1] + 1))
-    x1[:, :-1] = x
-    x1[:, -1] = 1.0
-    return x1
+    """The (n, m) batch transposed with a ones row appended, to meet [W | b]:
+    a C-contiguous (m+1, n) array, as mlp.Batch stores it (a transposed
+    view would make BLAS take another kernel and round differently)."""
+    x1t = np.empty((x.shape[1] + 1, x.shape[0]))
+    x1t[:-1] = x.T
+    x1t[-1] = 1.0
+    return x1t
 
 
 def allocating_forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -213,9 +217,9 @@ def allocating_forward_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionMismatch(f"batch shape {x.shape} incompatible with input_dim {net.input_dim}")
-    hidden = allocating_with_ones(x) @ net.hidden_layer.T
+    hidden = net.hidden_layer @ allocating_with_ones(x)
     np.tanh(hidden, out=hidden)
-    return hidden @ net.output_weights[0] + net.output_bias[0]
+    return net.output_weights[0] @ hidden + net.output_bias[0]
 
 
 def allocating_mse(predictions, targets) -> float:
@@ -245,12 +249,12 @@ def allocating_backprop_gradient(net: Network, inputs, targets) -> tuple[float, 
     if x.shape[1] != net.input_dim or t.shape != (x.shape[0],):
         raise DimensionMismatch("batch shapes inconsistent with the network")
     n = x.shape[0]
-    # in-place steps: z = [x|1] [W|b]^T, h = tanh(z), pred = h w_out + b_out,
+    # in-place steps: z = [W|b] [x|1]^T, h = tanh(z), pred = w_out h + b_out,
     # without the temporaries
-    x1 = allocating_with_ones(x)
-    h = x1 @ net.hidden_layer.T
-    np.tanh(h, out=h)  # (n, H)
-    err = h @ net.output_weights[0]
+    x1t = allocating_with_ones(x)
+    h = net.hidden_layer @ x1t
+    np.tanh(h, out=h)  # (H, n)
+    err = net.output_weights[0] @ h
     err += net.output_bias[0]
     err -= t  # pred - t
     loss = allocating_mean_square(err)
@@ -259,15 +263,12 @@ def allocating_backprop_gradient(net: Network, inputs, targets) -> tuple[float, 
     # d(MSE)/d(pred_i) = 2/n * (pred_i - t_i)
     dout = err
     dout *= 2.0 / n
-    np.matmul(dout, h, out=g["output_weights"][0])
+    g["output_weights"][0] = h @ dout
     g["output_bias"][0] = dout.sum()
-    # dz = outer(dout, w_out) * (1 - h^2), with h overwritten by 1 - h^2
-    dz = dout[:, None] * net.output_weights[0]  # (n, H)
-    h *= h
-    np.subtract(1.0, h, out=h)
-    dz *= h
-    # the ones column of [x|1] makes the last column the hidden-bias gradient
-    np.matmul(dz.T, x1, out=g["hidden_layer"])
+    # ((1 - h^2) * dout) [x|1], then each row scaled by w_out; the ones row
+    # of [x|1]^T makes the last column the hidden-bias gradient
+    dz = (1.0 - h * h) * dout  # (H, n)
+    g["hidden_layer"][:] = (dz @ x1t.T) * net.output_weights.T
     return loss, grad
 
 

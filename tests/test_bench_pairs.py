@@ -16,7 +16,7 @@ def load_script(repo_root):
 
 
 @pytest.mark.parametrize("change_failed, verdict", [(0, "gain"), (1, "no gain shown")])
-def test_gain_needs_no_more_failures_than_parent(repo_root, monkeypatch, capsys,
+def test_gain_needs_no_more_failures_than_parent(repo_root, tmp_path, monkeypatch, capsys,
                                                  change_failed, verdict):
     bench_pairs = load_script(repo_root)
     spec = json.loads((repo_root / "BENCHMARK.json").read_text())
@@ -30,6 +30,7 @@ def test_gain_needs_no_more_failures_than_parent(repo_root, monkeypatch, capsys,
         return {
             "failed": 0 if is_parent else change_failed,
             "attempted": 10,
+            "fingerprint": {"numpy": "parent" if is_parent else "change"},
             "metrics": {
                 name: {"value": (100.0 + seed) * (scale if low else 2.0 - scale)}
                 for name, low in lower.items()
@@ -38,7 +39,28 @@ def test_gain_needs_no_more_failures_than_parent(repo_root, monkeypatch, capsys,
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: parent_dir.append(dest))
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
-    assert bench_pairs.main(["HEAD", "--workload", "w", "--pairs", "10", "--seconds", "1"]) == 0
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "--workload", "w", "--pairs", "10", "--seconds", "1",
+                             "--json", str(out)]) == 0
     verdicts = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
                 if line.strip().startswith("verdict:")]
     assert verdicts == [verdict] * len(lower)
+
+    record = json.loads(out.read_text())
+    assert (record["workload"], record["parent"], record["pairs"]) == ("w", "HEAD", 10)
+    assert record["seeds"] == list(range(1, 11))
+    assert record["failed"] == {"parent": 0, "change": 10 * change_failed}
+    assert record["attempted"] == {"parent": 100, "change": 100}
+    assert record["fingerprint"] == {side: {"numpy": side} for side in ("parent", "change")}
+    assert set(record["metrics"]) == set(lower)
+    for name, low in lower.items():
+        entry = record["metrics"][name]
+        # seed s gives the parent 100 + s, the change 20% better
+        parent = [100.0 + s for s in range(1, 11)]
+        change = [v * (0.8 if low else 1.2) for v in parent]
+        assert entry["parent"]["values"] == parent
+        assert entry["change"]["values"] == pytest.approx(change)
+        assert [entry["parent"][k] for k in ("q1", "median", "q3")] == [102.75, 105.5, 108.25]
+        assert entry["change"]["median"] == pytest.approx(105.5 * (0.8 if low else 1.2))
+        assert entry["relative_change"] == pytest.approx(-0.2 if low else 0.2)
+        assert (entry["change_wins"], entry["verdict"]) == (10, verdict)

@@ -19,6 +19,7 @@ from ssaforecast.errors import (
 )
 from ssaforecast.forecast import forecast_series
 from ssaforecast.mlp import init_network, train
+from ssaforecast.rng import SplitMix64
 from ssaforecast.series import build_embedding, split_validation, standardize
 from ssaforecast.ssa import decompose, partial_reconstruction
 
@@ -82,6 +83,31 @@ def test_stage_traces_partition_epochs(bench_series):
                               seed=2)
     assert result.total_epochs == sum(len(t) for t in result.stage_traces)
     assert len(result.stage_traces) == len(result.states) == len(counts)
+
+
+def test_pinned_split_is_drawn_once(bench_series, monkeypatch):
+    """With pin_split=True the first stage draws the split and the later
+    stages reuse its pair indices: one permutation for five stages, and each
+    stage trains bitwise as on the split the seed draws for its own pairs."""
+    window, m, hidden, seed = 12, 5, 6, 4
+    counts = stage_counts(window, 4)
+    assert len(counts) == 5
+    dec = decompose(bench_series, window)
+    calls = []
+    permutation = SplitMix64.permutation
+    monkeypatch.setattr(SplitMix64, "permutation",
+                        lambda rng, n: calls.append(n) or permutation(rng, n))
+    result = curriculum_train(bench_series, dec, m, counts, hidden, PARAMS, seed, pin_split=True)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    net = init_network(m, hidden, seed)
+    for idx, p in enumerate(counts):
+        source = bench_series.values if p is None else partial_reconstruction(dec, p)
+        split = split_validation(build_embedding(source, m), 0.10, seed)
+        state, trace = train(net, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
+        assert tuple(trace) == result.stage_traces[idx]
+        net = state.network
 
 
 def test_curriculum_bitwise_reproducible(bench_series):

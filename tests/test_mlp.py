@@ -267,9 +267,8 @@ def pass_peak_bytes(run) -> int:
 
 def test_passes_reuse_the_batch_scratch():
     """A pass on a prepared batch allocates no array that grows with the
-    batch: its peak memory is the same at 9,000 and 36,000 rows (what is left
-    is numpy's fixed-size ufunc buffer), where rebuilding [x|1] alone would
-    add 27,000 * (m+1) floats."""
+    batch: its peak memory is the same at 9,000 and 36,000 rows, where
+    rebuilding [x|1] alone would add 27,000 * (m+1) floats."""
     m, h = 5, 10
     net = random_network(m, h, seed=27)
     rng = SplitMix64(28)
@@ -280,6 +279,24 @@ def test_passes_reuse_the_batch_scratch():
                       pass_peak_bytes(lambda: forward_batch(net, batch))])
     for small, big in zip(*peaks):
         assert big - small < 1024
+
+
+@pytest.mark.parametrize("n", [490, 708, 55])
+def test_gradient_pass_allocates_less_than_a_hidden_array(n):
+    """Over repeated gradient passes (m=5, H=10) the peak stays within one
+    (H, n) float array plus 4 KiB: no (n, H) outer product and no 128 KiB
+    ufunc buffer for it.  What is left at these sizes is numpy buffering the
+    row-broadcast product (1 - h^2) * dout."""
+    m, h = 5, 10
+    net = random_network(m, h, seed=n)
+    rng = SplitMix64(n + 1)
+    batch = Batch(rng.normals(n * m).reshape(n, m), rng.normals(n), h)
+
+    def passes():
+        for _ in range(10):
+            backprop_gradient(net, batch)
+
+    assert pass_peak_bytes(passes) <= n * h * 8 + 4096
 
 
 # -- gd_step ----------------------------------------------------------------------
