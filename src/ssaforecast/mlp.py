@@ -107,14 +107,12 @@ def init_network(input_dim: int, hidden_dim: int, seed: int) -> Network:
 
 class Batch:
     """(n, m) inputs and their n targets, prepared once for the passes of an
-    H-unit network.  The inputs are stored transposed with a ones row
-    appended, as one C-contiguous (m+1, n) array `x1t` that [W | b] meets,
-    so every pass runs along n; the hidden activations are scratch of shape
-    (H, n), and no pass allocates an array.  The arrays a pass returns are
-    this scratch, which the batch's next pass overwrites.  `targets` is None
-    for a batch that is only run forward.  `inputs` is an (n, m) view of
-    `x1t`: writing to it feeds the next pass new inputs without preparing
-    again."""
+    H-unit network: [x|1]^T, the inputs transposed with a ones row appended
+    (C-contiguous, to meet [W | b]), and scratch for every intermediate,
+    (H, n) for the hidden layer, so that a pass allocates no array.  A pass
+    returns this scratch, which the next pass overwrites.  `targets` is None
+    for a forward-only batch.  `inputs` is an (n, m) view of [x|1]^T: writing
+    to it feeds the next pass new inputs without preparing again."""
 
     def __init__(self, inputs, targets, hidden_dim: int):
         x = np.asarray(inputs, dtype=np.float64)
@@ -188,12 +186,9 @@ def _mean_square(err: np.ndarray, out: np.ndarray | None = None) -> float:
 def backprop_gradient(net: Network, batch: Batch) -> tuple[float, np.ndarray]:
     """(loss, grad): the batch MSE and its exact gradient with respect to
     every parameter, from one forward pass; `grad` is a flat vector in the
-    network's layout (`_views`), the batch's scratch.
-
-    The hidden-layer gradient is taken as ((1 - h^2) * dout) [x|1], an
-    (H, m+1) product whose rows are then scaled by w_out: the same sum as
-    (outer(dout, w_out) * (1 - h^2))^T [x|1], without the (n, H) outer
-    product, rounded in another order."""
+    network's layout (`_views`), the batch's scratch.  The hidden-layer
+    gradient is ((1 - h^2) * dout) [x|1] with its rows then scaled by w_out,
+    which forms no (n, H) outer product."""
     err = _forward(net, batch)
     err -= batch.targets  # pred - t
     loss = _mean_square(err, out=batch.sq)
@@ -203,14 +198,13 @@ def backprop_gradient(net: Network, batch: Batch) -> tuple[float, np.ndarray]:
     dout *= 2.0 / err.size
     np.matmul(h, dout, out=g["output_weights"][0])
     g["output_bias"][0] = dout.sum()
-    # h overwritten by (1 - h^2) * dout, each row scaled by dout
+    # h overwritten by (1 - h^2) * dout, dout broadcast along every row
     h *= h
     np.subtract(1.0, h, out=h)
     h *= dout
     # the ones row of [x|1]^T makes the last column the hidden-bias gradient
-    layer = g["hidden_layer"]
-    np.matmul(h, batch.x1t.T, out=layer)
-    layer *= net.output_weights.T
+    np.matmul(h, batch.x1t.T, out=g["hidden_layer"])
+    g["hidden_layer"] *= net.output_weights.T
     return loss, batch.grad
 
 

@@ -1,18 +1,23 @@
 """The lean trainer in ssaforecast.mlp against the reference loop in
 tests/reference_train.py.
 
-The trainer folds the hidden biases into the hidden-layer matmul, so its
-arithmetic is not the reference's and the two agree to a tolerance, not
+The trainer folds the hidden biases into the hidden-layer matmul and runs in
+an (H, n) layout whose hidden gradient scales by the output weights after
+the product with the inputs, not in an (n, H) outer product before it.  So
+its arithmetic is not the reference's and the two agree to a tolerance, not
 bitwise: every gradient, forward pass and batch error to GRADIENT_RTOL at
 the same parameters, and a whole run's errors and best network to
-TRACE_RTOL.  Control flow must agree exactly: the epochs run, the best epoch,
-the patience stop, the zero-error stop and the type, message and epochs of a
-failure.  The plateau and zero-error cases keep the hidden layer at zero, so
-there the fold changes no rounding and the runs must agree bitwise.
+TRACE_RTOL.  Control flow must agree exactly on the fixed cases here: the
+epochs run, the best epoch, the patience stop, the zero-error stop and the
+type, message and epochs of a failure.  (On random inputs it need not: the
+rounding order can decide whether an error hits exactly 0.0, a near-tie for
+the best epoch, or an overflow at inputs near 1e300.)  The plateau and
+zero-error cases keep the hidden layer at zero, so there neither change
+alters any rounding and the runs must agree bitwise.
 
 The trainer must also agree bitwise with the allocating trainer kept there
-(`allocating_train`): preparing the batches once and stepping the parameters
-in place reorders no arithmetic.
+(`allocating_train`), which does the same (H, n) arithmetic: preparing the
+batches once and stepping the parameters in place reorders no arithmetic.
 """
 
 from dataclasses import replace
