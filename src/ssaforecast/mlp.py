@@ -187,8 +187,7 @@ def backprop_gradient(net: Network, batch: Batch) -> tuple[float, np.ndarray]:
     """(loss, grad): the batch MSE and its exact gradient with respect to
     every parameter, from one forward pass; `grad` is a flat vector in the
     network's layout (`_views`), the batch's scratch.  The hidden-layer
-    gradient is ((1 - h^2) * dout) [x|1] with its rows then scaled by w_out,
-    which forms no (n, H) outer product."""
+    gradient is ((1 - h^2) * dout) [x|1], its rows then scaled by w_out."""
     err = _forward(net, batch)
     err -= batch.targets  # pred - t
     loss = _mean_square(err, out=batch.sq)
