@@ -9,17 +9,25 @@ Exports PARENT_REF's committed files into a temporary directory, then runs
 the side that goes first alternating from pair to pair.  Pair i gives both
 sides the workload seed `--seed` + i; `--seconds` defaults to BENCHMARK.json's
 ``run_seconds``.  For each end-to-end metric in BENCHMARK.json it prints
-every pair, each side's median and quartiles, the number of pairs the
-checkout wins (ties count for neither side), and whether the gap between the
-medians exceeds the parent's interquartile range.  A gain may be claimed
-only with at least nine wins in ten, that gap and no more failed operations
-than the parent; a median worse than the parent's by more than the metric's
-bound is a regression.
+every pair with its change/parent ratio, each side's median and quartiles,
+those of the ratios, the number of pairs the checkout wins (ties count for
+neither side), and whether the gap between the medians exceeds the parent's
+interquartile range.  The ratio compares the two sides on one workload seed,
+so it separates the change from the work that differs from seed to seed,
+which the parent's interquartile range mixes in.
+
+The verdict is, in this order: "gain" with at least nine wins in ten, that
+gap and no more failed operations than the parent; "regression" when the
+change's median is worse than the parent's by more than the metric's bound;
+"unresolved" when the parent's interquartile range exceeds the bound
+relative to its median, so the runs spread too widely to tell, unless every
+change run beats every parent run; "no gain shown" otherwise.
 
 ``--json PATH`` also writes all of that to PATH, for a committed bench
-trajectory: per metric the pair values, each side's median and quartiles,
-the wins and the verdict; each side's failed and attempted operations; and
-each side's toolchain fingerprint from the report of its first run.
+trajectory: per metric the pair values, each side's and the ratios' median
+and quartiles, the wins and the verdict; each side's failed and attempted
+operations; and each side's toolchain fingerprint from the report of its
+first run.
 
 The parent is exported with ``git archive`` rather than checked out as a
 worktree, so the run registers nothing in the repository and leaves nothing
@@ -100,27 +108,34 @@ def main(argv: list[str] | None = None) -> int:
         name, lower = metric["name"], metric["better"] == "lower"
         before = [r["metrics"][name]["value"] for r in runs["parent"]]
         after = [r["metrics"][name]["value"] for r in runs["change"]]
+        ratios = [a / b for a, b in zip(after, before)]
         wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
         p1, pm, p3 = quartiles(before)
         c1, cm, c3 = quartiles(after)
+        r1, rm, r3 = quartiles(ratios)
         change = (cm - pm) / pm if pm else 0.0
         worse = change if lower else -change
         print(f"\n{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:g})")
-        for seed, b, a in zip(seeds, before, after):
-            print(f"  seed {seed:3d}: parent {b:.6g}  change {a:.6g}")
+        for seed, b, a, ratio in zip(seeds, before, after, ratios):
+            print(f"  seed {seed:3d}: parent {b:.6g}  change {a:.6g}  ratio {ratio:.4f}")
         print(f"  parent median {pm:.6g} [q1 {p1:.6g}, q3 {p3:.6g}]")
         print(f"  change median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]  ({change:+.1%})")
+        print(f"  change/parent ratio median {rm:.4f} [q1 {r1:.4f}, q3 {r3:.4f}]")
         print(f"  change wins {wins}/{args.pairs}; |median gap| {abs(cm - pm):.4g} vs parent "
               f"IQR {p3 - p1:.4g}")
         # a change that fails more operations than the parent shows no gain
         gain = (wins >= 0.9 * args.pairs and abs(cm - pm) > p3 - p1 and worse < 0
                 and failed["change"] <= failed["parent"])
-        verdict = "gain" if gain else "regression" if worse > metric["bound"] else "no gain shown"
+        separated = max(after) < min(before) if lower else min(after) > max(before)
+        unresolved = p3 - p1 > metric["bound"] * pm and not separated
+        verdict = ("gain" if gain else "regression" if worse > metric["bound"]
+                   else "unresolved" if unresolved else "no gain shown")
         print(f"  verdict: {verdict}")
         summary[name] = {
             **metric,
             "parent": {"values": before, "q1": p1, "median": pm, "q3": p3},
             "change": {"values": after, "q1": c1, "median": cm, "q3": c3},
+            "ratio": {"values": ratios, "q1": r1, "median": rm, "q3": r3},
             "relative_change": change, "change_wins": wins, "verdict": verdict,
         }
     if args.json:

@@ -6,8 +6,9 @@
     ssaforecast compare   --config run.json
 
 Exit codes: 0 success, 1 runtime/numerical failure (bad data, divergence,
-corrupt artifact files), 2 configuration/validation failure (unknown keys,
-inadmissible sizes for the given input, mismatched declared dimensions).
+corrupt artifact files, an input or output path that cannot be read or
+written), 2 configuration/validation failure (unknown keys, a value out of
+range for the code that reads it, mismatched declared dimensions).
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
 def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     if not network_path:
         raise ConfigError("predict requires --network")
-    path = Path(network_path)
-    if not path.exists():
-        raise ConfigError(f"network file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(network_path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read network file {network_path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise RuntimeFailure(f"network file is not valid JSON: {exc}") from None
     net = mlp.network_from_dict(payload)
     if net.input_dim != config.embedding:
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValidationError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        except (RuntimeFailure, FileNotFoundError) as exc:
+        except (RuntimeFailure, OSError) as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
 

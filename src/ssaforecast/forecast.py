@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteOutput
+from .errors import ConfigError, DimensionMismatch, NonFiniteOutput
 from .mlp import Batch, Network, forward_batch
 from .series import StandardizedSeries, destandardize
 
@@ -27,7 +27,7 @@ def multi_step_predict(net: Network, seed_window, horizon: int) -> np.ndarray:
     Raises NonFiniteOutput carrying the finite prefix if iteration diverges.
     """
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise ConfigError("horizon must be at least 1")
     window = np.asarray(seed_window, dtype=np.float64)
     if window.shape != (net.input_dim,):
         raise DimensionMismatch(

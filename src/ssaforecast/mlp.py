@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     BadDimensions,
+    ConfigError,
     DimensionMismatch,
     DivergenceDetected,
     EmptyBatch,
@@ -258,11 +259,11 @@ def train(
     the parameters after a step or the training error become non-finite.
     """
     if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+        raise ConfigError("epochs must be at least 1")
     if lr <= 0.0:
-        raise ValueError("learning rate must be positive")
+        raise ConfigError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
+        raise ConfigError("momentum must lie in [0, 1)")
     h, m = net.hidden_dim, net.input_dim
     batch = Batch(split.train.inputs, split.train.targets, h)
     val = Batch(split.validation.inputs, split.validation.targets, h)

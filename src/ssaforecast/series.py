@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    BadDimensions,
     BadFraction,
     EmbeddingTooLarge,
     EmptyInput,
@@ -90,8 +90,9 @@ def load_csv(path, value_column: str, time_column: str) -> RawSeries:
     reals, and RawSeries checks that there are at least two rows and that the
     timestamps are strictly increasing (duplicates rejected) and uniform.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # a byte that is not UTF-8 becomes a lone surrogate, so a cell holding one
+    # fails to parse like any other malformed cell
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(0, value_column, "file has no header row")
@@ -160,8 +161,10 @@ class EmbeddingDataset:
 
 
 def check_embedding_size(m: int, n: int, pairs: int = 1) -> None:
-    """Reject an embedding that leaves fewer than `pairs` (window, target)
-    pairs in an n-sample series."""
+    """Reject an embedding below 1, or one that leaves fewer than `pairs`
+    (window, target) pairs in an n-sample series."""
+    if m < 1:
+        raise BadDimensions(f"embedding dimension must be at least 1, got {m}")
     if m >= n:
         raise EmbeddingTooLarge(f"embedding dimension {m} needs a series longer than {n}")
     if n - m < pairs:
@@ -174,10 +177,7 @@ def check_embedding_size(m: int, n: int, pairs: int = 1) -> None:
 def build_embedding(series, m: int) -> EmbeddingDataset:
     """Slide an m-wide window over the series; N - m pairs."""
     values = _as_values(series)
-    n = values.size
-    if m < 1:
-        raise ValueError("embedding dimension must be at least 1")
-    check_embedding_size(m, n)
+    check_embedding_size(m, values.size)
     windows = np.lib.stride_tricks.sliding_window_view(values, m)[:-1]
     return EmbeddingDataset(np.array(windows), values[m:].copy(), m)
 

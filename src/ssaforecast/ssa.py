@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadComponentCount,
+    BadDimensions,
     ConvergenceFailure,
     DimensionMismatch,
     WindowTooLarge,
@@ -49,7 +50,9 @@ class Decomposition:
 
 
 def check_window_size(window: int, n: int) -> None:
-    """Reject a window wider than half of an n-sample series."""
+    """Reject a window below 1 or wider than half of an n-sample series."""
+    if window < 1:
+        raise BadDimensions(f"window must be at least 1, got {window}")
     if window > n // 2:
         raise WindowTooLarge(f"window {window} exceeds half the series length {n}")
 
@@ -58,8 +61,6 @@ def lag_correlation(series, window: int) -> np.ndarray:
     """Lagged correlations of a standardized series (c_0 = 1 by construction)."""
     x = _as_values(series)
     n = x.size
-    if window < 1:
-        raise ValueError("window must be at least 1")
     check_window_size(window, n)
     if window > n // 3:
         warnings.warn(

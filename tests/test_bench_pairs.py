@@ -64,3 +64,57 @@ def test_gain_needs_no_more_failures_than_parent(repo_root, tmp_path, monkeypatc
         assert entry["change"]["median"] == pytest.approx(105.5 * (0.8 if low else 1.2))
         assert entry["relative_change"] == pytest.approx(-0.2 if low else 0.2)
         assert (entry["change_wins"], entry["verdict"]) == (10, verdict)
+
+
+def run_canned(repo_root, tmp_path, monkeypatch, capsys, value):
+    """main over 10 pairs of canned runs, where `value(is_parent, seed)` is a
+    run's reading of every lower-is-better metric (a higher-is-better one
+    reads its reciprocal, times 1e4); the printed verdicts and the --json
+    record."""
+    bench_pairs = load_script(repo_root)
+    spec = json.loads((repo_root / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    parent_dir = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        v = value(checkout in parent_dir, seed)
+        return {"failed": 0, "attempted": 10, "fingerprint": {},
+                "metrics": {name: {"value": v if low else 1e4 / v} for name, low in lower.items()}}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: parent_dir.append(dest))
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "--workload", "w", "--seconds", "1", "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    verdicts = [line.split(": ", 1)[1] for line in printed.splitlines()
+                if line.strip().startswith("verdict:")]
+    return lower, printed, verdicts, json.loads(out.read_text())
+
+
+def test_ratio_pairs_each_seed(repo_root, tmp_path, monkeypatch, capsys):
+    # each seed's work differs by up to 2x, the change is 10% faster on every seed
+    lower, printed, verdicts, record = run_canned(
+        repo_root, tmp_path, monkeypatch, capsys,
+        lambda is_parent, seed: (100.0 + 10.0 * seed) * (1.0 if is_parent else 0.9))
+    assert printed.count("ratio 0.9000\n") == sum(lower.values()) * 10
+    for name, low in lower.items():
+        ratio = record["metrics"][name]["ratio"]
+        expected = 0.9 if low else 1 / 0.9
+        assert ratio["values"] == pytest.approx([expected] * 10)
+        assert [ratio[k] for k in ("q1", "median", "q3")] == pytest.approx([expected] * 3)
+    # the ratios agree, but the parent's spread over seeds is wider than every bound
+    assert verdicts == ["unresolved"] * len(lower)
+
+
+@pytest.mark.parametrize("change, verdict", [
+    (lambda seed: 150.0 if seed % 2 else 50.0, "unresolved"),  # the parent's runs again
+    (lambda seed: 40.0, "no gain shown"),  # better than every parent run, gap below the IQR
+], ids=["overlapping", "separated"])
+def test_unresolved_unless_every_change_run_is_better(repo_root, tmp_path, monkeypatch, capsys,
+                                                       change, verdict):
+    # the parent alternates 50 and 150: an IQR as large as its median
+    lower, _, verdicts, record = run_canned(
+        repo_root, tmp_path, monkeypatch, capsys,
+        lambda is_parent, seed: (150.0 if seed % 2 else 50.0) if is_parent else change(seed))
+    assert verdicts == [verdict] * len(lower)
+    assert [m["verdict"] for m in record["metrics"].values()] == [verdict] * len(lower)

@@ -131,7 +131,7 @@ def test_curriculum_rejects_oversized_stage(bench_series):
     StageParams(epochs=10, lr=0.05, momentum=1.0),
 ])
 def test_curriculum_rejects_bad_stage_params(bench_series, params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         curriculum_train(bench_series, None, 5, (None,), 6, params, seed=0)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ssaforecast.errors import DimensionMismatch, NonFiniteOutput
+from ssaforecast.errors import ConfigError, DimensionMismatch, NonFiniteOutput
 from ssaforecast.forecast import forecast_series, multi_step_predict
 from ssaforecast.mlp import Network, forward, init_network, train
 from ssaforecast.rng import SplitMix64
@@ -90,7 +90,7 @@ def test_non_finite_output_carries_partial():
 
 def test_multi_step_rejects_bad_horizon_and_window():
     net = init_network(3, 2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="horizon must be at least 1"):
         multi_step_predict(net, np.zeros(3), 0)
     with pytest.raises(DimensionMismatch):
         multi_step_predict(net, np.zeros(4), 3)
@@ -136,7 +136,7 @@ def test_forecast_series_hand_values():
 def test_forecast_series_rejects_zero_horizon():
     std = standardize(SplitMix64(1).normals(30))
     net = init_network(5, 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         forecast_series(net, std, 0)
 
 
