@@ -154,6 +154,8 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
 def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     if not network_path:
         raise ConfigError("predict requires --network")
+    if "\x00" in network_path:
+        raise ConfigError(f"cannot read network file {network_path!r}: it holds a NUL character")
     try:
         payload = json.loads(Path(network_path).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -1,9 +1,10 @@
 """Run configuration: one flat JSON file of typed keys.
 
-Unknown keys, ill-typed values and non-finite numbers are rejected here; each
-value's range is checked by the code that reads the value.  Individual keys
-may be overridden from the command line with ``--set key=value`` and every
-override is recorded in the config echo embedded in output files.
+Unknown keys, ill-typed values, non-finite numbers and strings holding a NUL
+character are rejected here; each value's range is checked by the code that
+reads the value.  Individual keys may be overridden from the command line
+with ``--set key=value`` and every override is recorded in the config echo
+embedded in output files.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"key {name!r} must be finite, got {value}")
+            if isinstance(value, str) and "\x00" in value:  # open() raises on one
+                raise ConfigError(f"key {name!r} must not contain a NUL character")
         # the one range no library function checks where it reads the value
         if self.patience < 0:
             raise ConfigError("patience must be non-negative (0 disables early stopping)")

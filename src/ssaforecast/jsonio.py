@@ -8,6 +8,13 @@ call and converted to Python floats a block of rows at a time.  Each file is
 streamed to a temp file ``<name>.<pid>.<n>.tmp`` next to the target, unique
 to the writer, which replaces the target once complete and is removed on any
 error: the target is always either the old file or the complete new one.
+
+A 2-D float array of at least `_LANE_CELLS` cells is formatted on one lane
+per CPU (`lanes.run_side_by_side`) once it has passed the finiteness check.
+Its rows are cut into one contiguous range per lane: lane 0 formats the
+first range straight into the temp file, every other range goes to
+``<temp>.part<k>``, and the parts are then appended in order by the kernel
+(``os.sendfile``) and removed.  The bytes do not depend on the lane count.
 """
 
 from __future__ import annotations
@@ -20,8 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .lanes import lane_count, run_side_by_side
+
 # rows converted and written per block: bounds the Python floats held at once
 _BLOCK_ROWS = 256
+# cells from which a float array is formatted on several lanes: forking and
+# joining two lanes of an 80 MB process takes about 3.5 ms, and "%.17g" about
+# 0.64 us per float, so this many cells take about 42 ms on one lane
+_LANE_CELLS = 1 << 16
 _temp_ids = itertools.count()
 
 
@@ -139,14 +152,23 @@ def _row_format(types: tuple[type, ...]) -> tuple[str, list[int], list[int]]:
     return ",".join(slots) + "\n", floats, bools
 
 
+def _is_float_matrix(rows) -> bool:
+    return isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"
+
+
+def _float_blocks(rows: np.ndarray):
+    """The CSV text of a finite 2-D float array, a block of rows at a time."""
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS].tolist()
+        yield "".join([template % tuple(row) for row in block])
+
+
 def _csv_blocks(rows):
     """The CSV text of `rows`, a block of rows at a time."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+    if _is_float_matrix(rows):
         _require_finite(rows)
-        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS].tolist()
-            yield "".join([template % tuple(row) for row in block])
+        yield from _float_blocks(rows)
         return
     formats = {}
     lines = []
@@ -173,10 +195,53 @@ def _csv_blocks(rows):
     yield "".join(lines)
 
 
+def _write_rows(fh, rows: np.ndarray) -> None:
+    for block in _float_blocks(rows):
+        fh.write(block)
+
+
+def _write_part(path: Path, rows: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_rows(fh, rows)
+
+
+def _write_lanes(fh, rows: np.ndarray) -> None:
+    """Write the finite float array `rows` to the open temp file `fh`, one
+    contiguous range of rows per lane."""
+    lanes = min(lane_count(), len(rows))
+    size, extra = divmod(len(rows), lanes)
+    cuts = [k * size + min(k, extra) for k in range(lanes + 1)]
+    ranges = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+    # the first ranges are the longest, so task 0, which writes to `fh`,
+    # runs on lane 0, in this process
+    parts = [Path(f"{fh.name}.part{k}") for k in range(1, lanes)]
+    tasks = [(_write_rows, (fh, ranges[0]))]
+    tasks += [(_write_part, (part, block)) for part, block in zip(parts, ranges[1:])]
+    # nothing buffered before the fork, so no worker holds a copy of it
+    fh.flush()
+    try:
+        outcomes = run_side_by_side(tasks, [len(block) for block in ranges])
+        if isinstance(outcomes[-1], Exception):
+            raise outcomes[-1]
+        fh.flush()
+        for part in parts:
+            with open(part, "rb") as src:
+                offset, end = 0, os.fstat(src.fileno()).st_size
+                while offset < end:
+                    offset += os.sendfile(fh.fileno(), src.fileno(), offset, end - offset)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write `header` and `rows` (any iterable of row iterables, or a 2-D
     float array) as comma-separated lines."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for block in _csv_blocks(rows):
-            fh.write(block)
+        if _is_float_matrix(rows) and rows.size >= _LANE_CELLS and lane_count() > 1:
+            _require_finite(rows)
+            _write_lanes(fh, rows)
+        else:
+            for block in _csv_blocks(rows):
+                fh.write(block)

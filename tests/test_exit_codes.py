@@ -235,6 +235,16 @@ NON_FINITE = ("stage_lr=nan", "stage_lr=inf", "stage_momentum=-inf", "validation
                  "ConfigError: cannot read network file adir: ", id="network-directory"),
     pytest.param(["predict", "--config", "golden_config.json", "--network", "latin1.csv"], [], 1,
                  "RuntimeFailure: network file is not valid JSON: ", id="network-not-utf8"),
+    pytest.param(["predict", "--config", "golden_config.json", "--network", "net\x00.json"], [],
+                 2, "ConfigError: cannot read network file 'net\\x00.json': it holds a NUL",
+                 id="network-nul"),
+    pytest.param(["decompose", "--config", "nul.json"], [], 2,
+                 "ConfigError: key 'input_csv' must not contain a NUL character", id="config-nul"),
+    pytest.param(golden_run("decompose"), ["input_csv=tiny\x00.csv"], 2,
+                 "ConfigError: key 'input_csv' must not contain a NUL character", id="csv-nul"),
+    pytest.param(golden_run("decompose"), ["output_dir=o\x00"], 2,
+                 "ConfigError: key 'output_dir' must not contain a NUL character",
+                 id="output-dir-nul"),
     *[pytest.param(golden_run(command), [override], 2,
                    "ConfigError: key '{}' must be finite, got {}".format(*override.split("=")),
                    id=f"{command}-{override}")
@@ -246,6 +256,7 @@ def test_unreadable_file_or_non_finite_key_keeps_contract(tmp_path, monkeypatch,
     prepare(tmp_path)
     Path("nan.json").write_text('{"input_csv": "tiny_series.csv", "stage_lr": NaN}')
     Path("inf.json").write_text('{"input_csv": "tiny_series.csv", "validation_fraction": Infinity}')
+    Path("nul.json").write_text('{"input_csv": "tiny_series\\u0000.csv"}')
     got, err = run_checked(tmp_path, argv, overrides)
     assert got == code
     assert err.startswith(f"error: {error}"), err
@@ -255,8 +266,8 @@ def test_unreadable_file_or_non_finite_key_keeps_contract(tmp_path, monkeypatch,
 
 def override_values(key: str):
     """`key=value` texts for a value of the key's type: boundaries, negatives,
-    -0.0, non-finite floats, paths to a directory or a missing file, and
-    magnitudes small enough that no run allocates much or trains long."""
+    -0.0, non-finite floats, paths to a directory or a missing file or holding
+    a NUL, and magnitudes small enough that no run allocates much or trains long."""
     kind = _SCHEMA[key]
     if kind is int:
         top = {"stage_epochs": 5, "horizon": 200, "seed": 2**64}.get(key, 130)
@@ -268,9 +279,10 @@ def override_values(key: str):
         values = st.lists(st.integers(-2**64, 2**64), max_size=3).map(
             lambda seeds: ",".join(map(str, seeds)))
     elif key == "input_csv":
-        values = st.sampled_from(["tiny_series.csv", "missing.csv", "adir", "latin1.csv", ""])
+        values = st.sampled_from(["tiny_series.csv", "missing.csv", "adir", "latin1.csv", "",
+                                  "tiny\x00.csv"])
     elif key == "output_dir":
-        values = st.sampled_from(["out", "afile", "adir", "missing/out"])
+        values = st.sampled_from(["out", "afile", "adir", "missing/out", "o\x00"])
     else:
         values = st.sampled_from(["time", "value", "missing", ""])
     return values.map(lambda value: f"{key}={value}")
@@ -288,5 +300,48 @@ def test_fuzzed_overrides_keep_exit_code_contract(command, overrides):
         try:
             prepare(workdir)
             run_checked(workdir, golden_run(command), overrides)
+        finally:
+            os.chdir(cwd)
+
+
+# -- CSV contents on the golden config -----------------------------------------
+
+# what a fault puts in a cell: a non-finite or blank value, or the time t-1
+# (the previous row's), t-2 (before it) or t-0.5 (off the uniform grid)
+CELL_FAULTS = st.sampled_from(["nan", "NaN", "inf", "-inf", "", " ", "1e999", "repeat",
+                               "decrease", "jitter"])
+HEADERS = st.sampled_from([("time", "value"), ("value", "time"), ("time", "value", "extra"),
+                           ("time",), ("value",), ("when", "value")])
+
+
+def csv_text(n: int, header: tuple, faults, short_rows) -> str:
+    """A sine sampled at t = 0..n-1 under `header`, with each (row, column,
+    fault) of `faults` that fits applied and each row in `short_rows` cut
+    to its first cell."""
+    rows = [{"time": str(t), "value": repr(math.sin(t / 5.0)), "extra": "1", "when": str(t)}
+            for t in range(n)]
+    for row, column, fault in faults:
+        if row < n:
+            times = {"repeat": row - 1.0, "decrease": row - 2.0, "jitter": row - 0.5}
+            rows[row][column] = repr(times[fault]) if fault in times else fault
+    lines = [",".join(row[c] for c in header) for row in rows]
+    lines = [line.split(",")[0] if i in short_rows else line for i, line in enumerate(lines)]
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(EVERY), st.integers(0, 130), HEADERS,
+       st.lists(st.tuples(st.integers(0, 129), st.sampled_from(["time", "value"]), CELL_FAULTS),
+                max_size=3),
+       st.sets(st.integers(0, 129), max_size=2))
+def test_fuzzed_csv_contents_keep_exit_code_contract(command, n, header, faults, short_rows):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        os.chdir(workdir)
+        try:
+            prepare(workdir)
+            Path("data.csv").write_text(csv_text(n, header, faults, short_rows))
+            run_checked(workdir, golden_run(command), ["input_csv=data.csv"])
         finally:
             os.chdir(cwd)

@@ -1,7 +1,7 @@
 """ssaforecast.jsonio against the serializer in tests/reference_jsonio.py:
-every CSV and JSON document must come out byte for byte the same, and a
-non-finite value must fail with the same message while leaving neither the
-target nor a temp file behind."""
+every CSV and JSON document must come out byte for byte the same, on any
+number of lanes, and a non-finite value must fail with the same message
+while leaving neither the target nor a temp or part file behind."""
 
 import itertools
 import os
@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from reference_jsonio import reference_dumps, reference_write_csv, reference_write_json
 
 from ssaforecast import jsonio
+from ssaforecast.errors import RuntimeFailure
 from ssaforecast.jsonio import dumps, write_csv, write_json
 
 SPECIAL = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
@@ -192,3 +193,92 @@ def test_written_files_get_the_umask_permissions(tmp_path):
     write_json(tmp_path / "out.json", [])
     for name in ("out.csv", "out.json"):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# -- float arrays on several lanes -------------------------------------------------
+
+# 9 columns and row counts that neither 2 nor 3 lanes divide, just below and
+# just above the cutoff
+BELOW, ABOVE = (7279, 9), (7283, 9)
+
+
+def set_lanes(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def spy_lanes(monkeypatch) -> list:
+    """The task count of each run_side_by_side call that jsonio makes."""
+    calls = []
+    run = jsonio.run_side_by_side
+
+    def spy(tasks, costs):
+        calls.append(len(tasks))
+        return run(tasks, costs)
+
+    monkeypatch.setattr(jsonio, "run_side_by_side", spy)
+    return calls
+
+
+def test_cutoff_lies_between_the_two_shapes():
+    assert BELOW[0] * BELOW[1] < jsonio._LANE_CELLS <= ABOVE[0] * ABOVE[1]
+    assert all(rows % lanes for rows in (BELOW[0], ABOVE[0]) for lanes in (2, 3))
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("shape", [BELOW, ABOVE], ids=["below", "above"])
+def test_csv_array_on_lanes_matches_the_reference(tmp_path, monkeypatch, lanes, shape):
+    set_lanes(monkeypatch, lanes)
+    calls = spy_lanes(monkeypatch)
+    matrix = np.random.default_rng(lanes).standard_normal(shape)
+    matrix[-1] = SPECIAL[:9]  # in the last lane's rows
+    assert_same_csv(tmp_path, lambda: matrix)
+    assert calls == ([lanes] if shape == ABOVE and lanes > 1 else [])
+    assert sorted(os.listdir(tmp_path)) == ["reference_write_csv.csv", "write_csv.csv"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+def test_non_finite_in_the_last_lane_fails_like_the_reference_before_any_lane(
+    tmp_path, monkeypatch, bad
+):
+    set_lanes(monkeypatch, 3)
+    calls = spy_lanes(monkeypatch)
+    matrix = np.ones(ABOVE)
+    matrix[-2, 4] = bad
+    matrix[-1, 0] = -bad
+    target = tmp_path / "new" / "out.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    with pytest.raises(ValueError) as want:
+        reference_write_csv(tmp_path / "ref" / "out.csv", ["a", "b"], matrix)
+    with pytest.raises(ValueError) as got:
+        write_csv(target, ["a", "b"], matrix)
+    assert str(got.value) == str(want.value) == f"refusing to serialize non-finite value {bad}"
+    assert calls == []
+    assert os.listdir(target.parent) == ["out.csv"] and target.read_text() == "old\n"
+
+
+def failing_part_writer(how):
+    """jsonio._write_part, but a worker lane raises OSError or dies after
+    writing its part."""
+    parent = os.getpid()
+    write_part = jsonio._write_part
+
+    def write(path, rows):
+        write_part(path, rows)
+        if os.getpid() != parent:
+            if how == "dies":
+                os._exit(3)
+            raise OSError(28, "No space left on device")
+
+    return write
+
+
+@pytest.mark.parametrize("how, error", [("raises", OSError), ("dies", RuntimeFailure)])
+def test_failed_lane_keeps_the_old_file_and_leaves_nothing(tmp_path, monkeypatch, how, error):
+    set_lanes(monkeypatch, 2)
+    monkeypatch.setattr(jsonio, "_write_part", failing_part_writer(how))
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(error):
+        write_csv(target, ["a", "b"], np.ones(ABOVE))
+    assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "old\n"

@@ -1,6 +1,7 @@
 """compare runs its curve and seeds as independent tasks on one lane per CPU
-(lane 0 in the calling process, the others in forked workers); its output
-must not depend on the number of lanes."""
+(lane 0 in the calling process, the others in forked workers), and decompose
+writes a large components.csv the same way; their output must not depend on
+the number of lanes."""
 
 import json
 import os
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from ssaforecast import curriculum
+from ssaforecast import curriculum, jsonio
+from ssaforecast.benchmark import two_sine_benchmark
 from ssaforecast.cli import main
-from ssaforecast.curriculum import assign_lanes, run_side_by_side
 from ssaforecast.errors import DivergenceDetected, NonFiniteOutput
+from ssaforecast.lanes import assign_lanes, run_side_by_side
 
 SEEDS = "0,1,2"
 
@@ -69,6 +71,25 @@ def test_artifacts_identical_on_one_and_two_lanes(workdir, monkeypatch, capsys):
     assert serial["code"] == side_by_side["code"] == 0
     assert side_by_side["comparison"] == serial["comparison"]
     assert side_by_side["curve"] == serial["curve"]
+
+
+def test_wide_components_identical_on_one_and_two_lanes(workdir, monkeypatch):
+    # 600 rows of the series and 128 components: 77,400 cells, above the cutoff
+    rows = [f"{t},{v!r}" for t, v in enumerate(two_sine_benchmark(600, 0).tolist())]
+    Path("wide.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    lanes = []
+    run = jsonio.run_side_by_side
+    monkeypatch.setattr(jsonio, "run_side_by_side",
+                        lambda tasks, costs: lanes.append(len(tasks)) or run(tasks, costs))
+    written = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        assert main(["decompose", "--config", "golden_config.json",
+                     "--set", "input_csv=wide.csv", "--set", "window=128"]) == 0
+        written[cpus] = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+    assert lanes == [2]
+    assert written[1] == written[2]
+    assert sorted(written[1]) == ["components.csv", "singular_spectrum.csv", "spectrum.json"]
 
 
 # -- (b) a failure yields the same error document on one and two lanes -----------------
