@@ -12,9 +12,7 @@ from .curriculum import (
 from .forecast import ForecastResult, forecast_series, multi_step_predict
 from .mlp import Batch, Network, backprop_gradient, forward, gd_step, init_network, mse, train
 from .series import (
-    EmbeddingDataset,
     RawSeries,
-    SplitDataset,
     StandardizedSeries,
     build_embedding,
     destandardize,

@@ -13,15 +13,14 @@ from .rng import SplitMix64
 # reuses the draws init_network and split_validation take from stream 0 of
 # the same seed, from the eighth on (ROADMAP item 2)
 _NOISE_STREAM = 7
+# the periods (in samples) and amplitudes of the two sinusoids, and the
+# noise's standard deviation
+_PERIODS = (11.0, 5.5)
+_AMPLITUDES = (1.0, 0.4)
+_NOISE_SIGMA = 0.3
 
 
-def two_sine_benchmark(
-    n: int = 600,
-    seed: int = 0,
-    noise_sigma: float = 0.3,
-    periods: tuple[float, float] = (11.0, 5.5),
-    amplitudes: tuple[float, float] = (1.0, 0.4),
-) -> np.ndarray:
+def two_sine_benchmark(n: int = 600, seed: int = 0) -> np.ndarray:
     """Two sinusoids (fixed phases) plus white Gaussian noise.
 
     The short period is half the long one, mimicking a fundamental plus
@@ -29,9 +28,7 @@ def two_sine_benchmark(
     several fundamental cycles.
     """
     t = np.arange(n, dtype=np.float64)
-    clean = amplitudes[0] * np.sin(2.0 * math.pi * t / periods[0] + 0.7) + amplitudes[
-        1
-    ] * np.sin(2.0 * math.pi * t / periods[1] + 2.3)
+    clean = (_AMPLITUDES[0] * np.sin(2.0 * math.pi * t / _PERIODS[0] + 0.7)
+             + _AMPLITUDES[1] * np.sin(2.0 * math.pi * t / _PERIODS[1] + 2.3))
     noise = SplitMix64(seed, stream=_NOISE_STREAM).normals(n)
-    return clean + noise_sigma * noise
-
+    return clean + _NOISE_SIGMA * noise

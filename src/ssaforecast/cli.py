@@ -27,7 +27,7 @@ import numpy as np
 from . import curriculum as cur
 from . import forecast as fc
 from . import mlp, ssa
-from .config import RunConfig, load_config
+from .config import RunConfig, check_text, load_config
 from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, RuntimeFailure, ValidationError
 from .jsonio import dumps, write_csv, write_json
 from .series import check_embedding_size, load_csv, standardize
@@ -45,14 +45,8 @@ def _load_series(config: RunConfig, pairs: int = 0):
     return raw
 
 
-def _network_fingerprint(net: mlp.Network) -> str:
-    return hashlib.sha256(dumps(mlp.network_to_dict(net)).encode("utf-8")).hexdigest()
-
-
 def _stage_params(config: RunConfig) -> cur.StageParams:
-    return cur.StageParams(
-        epochs=config.stage_epochs, lr=config.stage_lr, momentum=config.stage_momentum
-    )
+    return cur.StageParams(config.stage_epochs, config.stage_lr, config.stage_momentum)
 
 
 def cmd_decompose(config: RunConfig, echo: dict) -> int:
@@ -111,6 +105,7 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
     out = Path(config.output_dir)
     params = _stage_params(config)
     initial = mlp.init_network(config.embedding, config.hidden_units, config.seed)
+    fingerprint = hashlib.sha256(dumps(mlp.network_to_dict(initial)).encode("utf-8")).hexdigest()
     counts = cur.stage_counts(config.window, config.pc_step)
     dec = None
     if mode == "baseline":
@@ -139,7 +134,7 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
             "stages": _stage_final_errors(counts, result),
             "stage_boundaries": list(itertools.accumulate(map(len, traces))),
             "total_epochs": total,
-            "initial_network_sha256": _network_fingerprint(initial),
+            "initial_network_sha256": fingerprint,
             "standardization": {"mean": std.mean, "scale": std.scale},
             "config_echo": echo,
         },
@@ -154,8 +149,7 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
 def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     if not network_path:
         raise ConfigError("predict requires --network")
-    if "\x00" in network_path:
-        raise ConfigError(f"cannot read network file {network_path!r}: it holds a NUL character")
+    check_text("network path", network_path)
     try:
         payload = json.loads(Path(network_path).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -1,10 +1,10 @@
 """Run configuration: one flat JSON file of typed keys.
 
-Unknown keys, ill-typed values, non-finite numbers and strings holding a NUL
-character are rejected here; each value's range is checked by the code that
-reads the value.  Individual keys may be overridden from the command line
-with ``--set key=value`` and every override is recorded in the config echo
-embedded in output files.
+Unknown keys, ill-typed values, non-finite numbers and strings that break the
+text rule (`check_text`) are rejected here; each value's range is checked by
+the code that reads the value.  Individual keys may be overridden from the
+command line with ``--set key=value`` and every override is recorded in the
+config echo embedded in output files.
 """
 
 from __future__ import annotations
@@ -16,6 +16,16 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+
+
+def check_text(what: str, text: str) -> None:
+    """The rule for config strings and paths: no NUL (no path holds one), and
+    UTF-8 text like the artifacts that echo it (no lone surrogate)."""
+    if "\x00" in text:
+        raise ConfigError(f"{what} must not contain a NUL character")
+    if text.encode("utf-8", "replace").decode("utf-8") != text:
+        raise ConfigError(f"{what} must be UTF-8 text, without lone surrogates")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -42,8 +52,8 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"key {name!r} must be finite, got {value}")
-            if isinstance(value, str) and "\x00" in value:  # open() raises on one
-                raise ConfigError(f"key {name!r} must not contain a NUL character")
+            if isinstance(value, str):
+                check_text(f"key {name!r}", value)
         # the one range no library function checks where it reads the value
         if self.patience < 0:
             raise ConfigError("patience must be non-negative (0 disables early stopping)")
@@ -96,16 +106,15 @@ def _parse_override(text: str) -> tuple[str, object]:
             return key, int(raw)
         if expected is float:
             return key, float(raw)
-        if expected is list:
-            return key, [int(v) for v in raw.split(",") if v.strip() != ""]
+        return key, [int(v) for v in raw.split(",") if v.strip() != ""]  # the seeds list
     except ValueError:
         raise ConfigError(f"cannot parse override value {raw!r} for key {key!r}") from None
-    raise ConfigError(f"unsupported override type for key {key!r}")
 
 
 def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, dict]:
     """Parse the config file, apply overrides, validate, and return both the
     config and its echo dict (the merged mapping plus the overrides used)."""
+    check_text("config path", str(path))
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadHorizon, BadStep, ConfigError, DivergenceDetected
+from .errors import BadHorizon, BadStep, ConfigError, DivergenceDetected, NonFiniteOutput
 from .forecast import forecast_series
 from .lanes import run_side_by_side
 from .mlp import Batch, TraceEntry, TrainState, forward_batch, init_network, mse, train
@@ -87,13 +87,11 @@ def curriculum_train(
     for idx, p in enumerate(counts):
         source = series.values if p is None else partial_reconstruction(dec, p)
         pairs = build_embedding(source, embedding)
-        if pin_split and idx:  # the first stage's pair indices, not drawn again
-            split = replace(split, train=pairs.subset(split.train_indices),
-                            validation=pairs.subset(split.validation_indices))
-        else:
-            split = split_validation(pairs, fraction, seed if pin_split else seed + idx)
+        if not (pin_split and idx):  # a pinned run keeps the first stage's indices
+            split = split_validation(pairs[1].size, fraction, seed if pin_split else seed + idx)
         try:
-            state, trace = train(net, split, params.epochs, params.lr, params.momentum, patience)
+            state, trace = train(net, pairs, split, params.epochs, params.lr, params.momentum,
+                                 patience)
         except DivergenceDetected as exc:
             # keep every completed stage alongside the failing stage's prefix
             exc.stage_traces = tuple(traces) + (tuple(exc.trace),)
@@ -137,11 +135,11 @@ def error_vs_pc_curve(
     gets the same total epoch budget in a single raw run.
     """
     dec = decompose(series, window)
-    raw = split_validation(build_embedding(series.values, embedding), fraction, seed)
+    x, y = build_embedding(series.values, embedding)
+    raw = split_validation(y.size, fraction, seed)
 
     def score(net) -> tuple[float, ...]:
-        return tuple(mse(forward_batch(net, Batch(d.inputs, None, hidden)), d.targets)
-                     for d in (raw.train, raw.validation))
+        return tuple(mse(forward_batch(net, Batch(x[i], None, hidden)), y[i]) for i in raw)
 
     ps = range(2, window + 1)
     sweep = curriculum_train(series, dec, embedding, ps, hidden, params, seed, fraction)
@@ -225,6 +223,8 @@ def _compare_seed(
                       holdout))
         for run in (cur, base)
     )
+    if not math.isfinite(cur_rmse + base_rmse):  # the sum of squared errors overflowed
+        raise NonFiniteOutput(f"seed {seed}: forecast RMSE overflows in original units")
     return SeedComparison(
         seed=seed,
         curriculum_validation_mse=cur.final_state.validation_mse,

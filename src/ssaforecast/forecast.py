@@ -53,12 +53,19 @@ def multi_step_predict(net: Network, seed_window, horizon: int) -> np.ndarray:
 def forecast_series(net: Network, series: StandardizedSeries, horizon: int) -> ForecastResult:
     """Seed the loop from the last m = net.input_dim standardized values,
     forecast `horizon` steps and convert back to original units with the
-    series' mean and scale."""
+    series' mean and scale.  A step that overflows there raises
+    NonFiniteOutput carrying the standardized predictions before it."""
     seed_window = series.values[-net.input_dim:].copy()
     standardized = multi_step_predict(net, seed_window, horizon)
+    with np.errstate(over="ignore"):
+        predictions = destandardize(standardized, series.mean, series.scale)
+    overflow = np.flatnonzero(~np.isfinite(predictions))
+    if overflow.size:
+        raise NonFiniteOutput(f"forecast step {overflow[0] + 1} overflows in original units",
+                              partial=standardized[: overflow[0]])
     return ForecastResult(
         horizon=horizon,
-        predictions=destandardize(standardized, series.mean, series.scale),
+        predictions=predictions,
         standardized_predictions=standardized,
         seed_window=seed_window,
     )

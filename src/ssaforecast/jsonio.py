@@ -20,6 +20,7 @@ first range straight into the temp file, every other range goes to
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 from contextlib import contextmanager
@@ -29,6 +30,8 @@ import numpy as np
 
 from .lanes import lane_count, run_side_by_side
 
+# spaces per nesting level of JSON output
+_INDENT = 2
 # rows converted and written per block: bounds the Python floats held at once
 _BLOCK_ROWS = 256
 # cells from which a float array is formatted on several lanes: forking and
@@ -55,24 +58,24 @@ def _require_finite(values: np.ndarray) -> None:
         raise _non_finite(float(values[~finite][0]))
 
 
-def _bracket(items: list[str], indent: int, level: int, open_: str, close: str) -> str:
+def _bracket(items: list[str], level: int, open_: str, close: str) -> str:
     if not items:
         return open_ + close
-    pad = " " * (indent * level)
-    child_pad = " " * (indent * (level + 1))
+    pad = " " * (_INDENT * level)
+    child_pad = " " * (_INDENT * (level + 1))
     return f"{open_}\n{child_pad}" + f",\n{child_pad}".join(items) + f"\n{pad}{close}"
 
 
-def _render_floats(values: list, indent: int, level: int) -> str:
+def _render_floats(values: list, level: int) -> str:
     """A nested list of finite floats, laid out as _render lays out lists."""
     if values and isinstance(values[0], list):
-        items = [_render_floats(v, indent, level + 1) for v in values]
+        items = [_render_floats(v, level + 1) for v in values]
     else:
         items = ["%.17g" % v for v in values]
-    return _bracket(items, indent, level, "[", "]")
+    return _bracket(items, level, "[", "]")
 
 
-def _render(obj, indent: int, level: int) -> str:
+def _render(obj, level: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -82,28 +85,24 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        # every control character escaped, every other character as is
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
             _require_finite(obj)
-            return _render_floats(obj.tolist(), indent, level)
+            return _render_floats(obj.tolist(), level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return _bracket([_render(v, indent, level + 1) for v in obj], indent, level, "[", "]")
+        return _bracket([_render(v, level + 1) for v in obj], level, "[", "]")
     if isinstance(obj, dict):
-        items = [
-            f"{_render(str(k), indent, 0)}: {_render(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return _bracket(items, indent, level, "{", "}")
+        items = [f"{_render(str(k), 0)}: {_render(v, level + 1)}" for k, v in obj.items()]
+        return _bracket(items, level, "{", "}")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """JSON text with fixed float formatting and insertion-ordered keys."""
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
 @contextmanager
@@ -196,8 +195,7 @@ def _csv_blocks(rows):
 
 
 def _write_rows(fh, rows: np.ndarray) -> None:
-    for block in _float_blocks(rows):
-        fh.write(block)
+    fh.writelines(_float_blocks(rows))
 
 
 def _write_part(path: Path, rows: np.ndarray) -> None:
@@ -243,5 +241,4 @@ def write_csv(path, header: list[str], rows) -> None:
             _require_finite(rows)
             _write_lanes(fh, rows)
         else:
-            for block in _csv_blocks(rows):
-                fh.write(block)
+            fh.writelines(_csv_blocks(rows))

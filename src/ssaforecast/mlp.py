@@ -240,13 +240,15 @@ def gd_step(
 
 def train(
     net: Network,
-    split,
-    epochs: int = 5000,
-    lr: float = 0.01,
-    momentum: float = 0.9,
-    patience: int | None = 200,
+    pairs: tuple[np.ndarray, np.ndarray],
+    split: tuple[np.ndarray, np.ndarray],
+    epochs: int,
+    lr: float,
+    momentum: float,
+    patience: int | None,
 ) -> tuple[TrainState, list[TraceEntry]]:
-    """Full-batch gradient descent on the training pairs.
+    """Full-batch gradient descent on the pairs (inputs, targets), an (n, m)
+    array and its n targets, split as (train_indices, validation_indices).
 
     Each epoch takes one step and then records (epoch, train MSE, validation
     MSE) at the new parameters.  Returns the state with the lowest validation
@@ -265,8 +267,8 @@ def train(
     if not 0.0 <= momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
     h, m = net.hidden_dim, net.input_dim
-    batch = Batch(split.train.inputs, split.train.targets, h)
-    val = Batch(split.validation.inputs, split.validation.targets, h)
+    x, y = pairs
+    batch, val = (Batch(x[idx], y[idx], h) for idx in split)
     # the working parameters: gd_step moves theta in place, and `work` holds
     # views of it for the passes; neither leaves this function
     theta = net.flat.copy()

@@ -143,23 +143,6 @@ def destandardize(values, mean: float, scale: float) -> np.ndarray:
     return scale * arr + mean
 
 
-@dataclass(frozen=True)
-class EmbeddingDataset:
-    """Supervised pairs: each input is m consecutive samples (oldest first),
-    the target is the sample immediately after the window."""
-
-    inputs: np.ndarray  # (count, m)
-    targets: np.ndarray  # (count,)
-    m: int
-
-    @property
-    def count(self) -> int:
-        return self.targets.size
-
-    def subset(self, indices: np.ndarray) -> "EmbeddingDataset":
-        return EmbeddingDataset(self.inputs[indices], self.targets[indices], self.m)
-
-
 def check_embedding_size(m: int, n: int, pairs: int = 1) -> None:
     """Reject an embedding below 1, or one that leaves fewer than `pairs`
     (window, target) pairs in an n-sample series."""
@@ -174,44 +157,30 @@ def check_embedding_size(m: int, n: int, pairs: int = 1) -> None:
         )
 
 
-def build_embedding(series, m: int) -> EmbeddingDataset:
-    """Slide an m-wide window over the series; N - m pairs."""
+def build_embedding(series, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slide an m-wide window over the series: (inputs, targets), the N - m
+    windows (oldest sample first) as an (N - m, m) array and the sample after
+    each, both read-only views of the series."""
     values = _as_values(series)
     check_embedding_size(m, values.size)
-    windows = np.lib.stride_tricks.sliding_window_view(values, m)[:-1]
-    return EmbeddingDataset(np.array(windows), values[m:].copy(), m)
+    # each (m+1)-wide window is one pair: m inputs, then the target
+    pairs = np.lib.stride_tricks.sliding_window_view(values, m + 1)
+    return pairs[:, :m], pairs[:, m]
 
 
-@dataclass(frozen=True)
-class SplitDataset:
-    """Disjoint train/validation partition of an embedding dataset."""
-
-    train: EmbeddingDataset
-    validation: EmbeddingDataset
-    train_indices: np.ndarray
-    validation_indices: np.ndarray
-
-
-def split_validation(dataset: EmbeddingDataset, fraction: float, seed: int) -> SplitDataset:
-    """Hold out round(fraction * count) pairs, chosen uniformly at random by
-    the seeded generator (see rng module for the exact algorithm).
+def split_validation(count: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train_indices, validation_indices) of `count` pairs, each sorted:
+    round(fraction * count) pairs held out, chosen uniformly at random by the
+    seeded generator (see rng module for the exact algorithm).
 
     The validation side always keeps at least one pair and leaves at least
     one pair for training.
     """
     if not 0.0 < fraction < 1.0:
         raise BadFraction(f"fraction must lie in (0, 1), got {fraction}")
-    n = dataset.count
-    if n < 2:
+    if count < 2:
         raise ValueError("need at least two pairs to split")
-    k = int(math.floor(fraction * n + 0.5))
-    k = min(max(k, 1), n - 1)
-    perm = SplitMix64(seed).permutation(n)
-    val_idx = np.sort(perm[:k])
-    train_idx = np.sort(perm[k:])
-    return SplitDataset(
-        train=dataset.subset(train_idx),
-        validation=dataset.subset(val_idx),
-        train_indices=train_idx,
-        validation_indices=val_idx,
-    )
+    k = int(math.floor(fraction * count + 0.5))
+    k = min(max(k, 1), count - 1)
+    perm = SplitMix64(seed).permutation(count)
+    return np.sort(perm[k:]), np.sort(perm[:k])

@@ -7,6 +7,7 @@ prefix and made to call one another, so tests can check that the streaming,
 per-row-template serializer writes the same bytes.
 """
 
+import json
 import math
 import os
 from pathlib import Path
@@ -32,9 +33,9 @@ def reference_render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return reference_format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        # not verbatim: the first version wrote control characters other
+        # than \n, \r and \t raw, which is not JSON
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

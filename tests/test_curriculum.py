@@ -69,8 +69,9 @@ def test_warm_start_continuity(bench_series, counts):
     net = init_network(m, hidden, seed)
     for idx, p in enumerate(counts):
         source = bench_series.values if p is None else partial_reconstruction(dec, p)
-        split = split_validation(build_embedding(source, m), 0.10, seed + idx)
-        state, trace = train(net, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
+        pairs = build_embedding(source, m)
+        split = split_validation(pairs[1].size, 0.10, seed + idx)
+        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
         assert tuple(trace) == result.stage_traces[idx]
         np.testing.assert_array_equal(state.network.flat, result.states[idx].network.flat)
         net = state.network
@@ -104,8 +105,9 @@ def test_pinned_split_is_drawn_once(bench_series, monkeypatch):
     net = init_network(m, hidden, seed)
     for idx, p in enumerate(counts):
         source = bench_series.values if p is None else partial_reconstruction(dec, p)
-        split = split_validation(build_embedding(source, m), 0.10, seed)
-        state, trace = train(net, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
+        pairs = build_embedding(source, m)
+        split = split_validation(pairs[1].size, 0.10, seed)
+        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
         assert tuple(trace) == result.stage_traces[idx]
         net = state.network
 
@@ -151,10 +153,11 @@ def test_full_reconstruction_trains_like_raw(bench_series):
     full = partial_reconstruction(decompose(bench_series, window), window)
     assert np.max(np.abs(full - bench_series.values)) < 1e-8
     net = init_network(m, 6, seed=4)
-    split_full = split_validation(build_embedding(full, m), 0.10, 11)
-    split_raw = split_validation(build_embedding(bench_series.values, m), 0.10, 11)
-    state_full, _ = train(net, split_full, 80, 0.05, 0.9, None)
-    state_raw, _ = train(net, split_raw, 80, 0.05, 0.9, None)
+    pairs_full = build_embedding(full, m)
+    pairs_raw = build_embedding(bench_series.values, m)
+    split = split_validation(pairs_raw[1].size, 0.10, 11)
+    state_full, _ = train(net, pairs_full, split, 80, 0.05, 0.9, None)
+    state_raw, _ = train(net, pairs_raw, split, 80, 0.05, 0.9, None)
     assert state_full.train_mse == pytest.approx(state_raw.train_mse, rel=1e-5)
     assert state_full.validation_mse == pytest.approx(state_raw.validation_mse, rel=1e-5)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ssaforecast.cli import main
 from ssaforecast.config import _SCHEMA
+from ssaforecast.mlp import init_network, network_to_dict
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -36,8 +37,10 @@ CONFIG = {
 }
 COMMANDS = (
     ["decompose"], ["train", "--mode", "curriculum"], ["train", "--mode", "baseline"],
-    ["compare"],
+    ["predict", "--network", "network.json"], ["compare"],
 )
+# a network for CONFIG's embedding and hidden units, for predict
+NETWORK = network_to_dict(init_network(CONFIG["embedding"], CONFIG["hidden_units"], seed=0))
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREME = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e200, -1e200,
@@ -97,6 +100,7 @@ def test_degenerate_csv_keeps_exit_code_contract(values, command):
         os.chdir(workdir)
         try:
             Path("config.json").write_text(json.dumps(CONFIG))
+            Path("network.json").write_text(json.dumps(NETWORK))
             rows = [f"{t},{v!r}" for t, v in enumerate(values)]
             Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
             code, err = run_main([command[0], "--config", "config.json", *command[1:]])
@@ -115,6 +119,42 @@ def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon):
     assert err == "error: ConfigError: horizon must be at least 1\n"
     assert not Path("out/forecast.csv").exists()
     assert_contract(code, err, workdir)
+
+
+def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):
+    # a finite standardized forecast that overflows when scaled back
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({**CONFIG, "embedding": 3}))
+    network = network_to_dict(init_network(3, CONFIG["hidden_units"], seed=0))
+    Path("network.json").write_text(json.dumps({**network, "output_bias": [1.5e308]}))
+    rows = [f"{t},{10.0 * math.sin(t)!r}" for t in range(40)]
+    Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    code, err = run_main(["predict", "--config", "config.json", "--network", "network.json"])
+    assert (code, err) == (1, "error: NonFiniteOutput: forecast step 1 overflows in original "
+                              "units\n")
+    assert_contract(code, err, tmp_path)
+    partial = json.loads(Path("out/forecast_partial.json").read_text())
+    assert partial["partial_standardized"] == []
+    assert sorted(os.listdir("out")) == ["forecast_partial.json"]
+
+
+def test_compare_overflowing_forecast_rmse_exit_1(tmp_path, monkeypatch):
+    # the training part's variance is finite, but the held-out part lies so
+    # far below it that the sum of squared forecast errors overflows
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({**CONFIG, "compare_horizon": 50}))
+    amplitude = math.sqrt(0.97 * 1.797e308 / 275)
+    values = [amplitude * math.sin(2.0 * math.pi * t / 12.0) if t < 150 else -2.0 * amplitude
+              for t in range(200)]
+    rows = [f"{t},{v!r}" for t, v in enumerate(values)]
+    Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    code, err = run_main(["compare", "--config", "config.json"])
+    assert code == 1
+    assert err.splitlines()[-1] == ("error: NonFiniteOutput: seed 0: forecast RMSE overflows in "
+                                    "original units")
+    assert_contract(code, err, tmp_path)
+    document = json.loads(Path("out/comparison.json").read_text())
+    assert document["error"].startswith("seed 0:") and document["per_seed"] == []
 
 
 def test_constant_holdout_compare_exit_0(tmp_path, monkeypatch):
@@ -236,8 +276,23 @@ NON_FINITE = ("stage_lr=nan", "stage_lr=inf", "stage_momentum=-inf", "validation
     pytest.param(["predict", "--config", "golden_config.json", "--network", "latin1.csv"], [], 1,
                  "RuntimeFailure: network file is not valid JSON: ", id="network-not-utf8"),
     pytest.param(["predict", "--config", "golden_config.json", "--network", "net\x00.json"], [],
-                 2, "ConfigError: cannot read network file 'net\\x00.json': it holds a NUL",
+                 2, "ConfigError: network path must not contain a NUL character",
                  id="network-nul"),
+    pytest.param(["predict", "--config", "golden_config.json", "--network", "net\udcff.json"],
+                 [], 2, "ConfigError: network path must be UTF-8 text, without lone surrogates",
+                 id="network-not-utf8-path"),
+    pytest.param(["decompose", "--config", "c\x00.json"], [], 2,
+                 "ConfigError: config path must not contain a NUL character",
+                 id="config-path-nul"),
+    pytest.param(["decompose", "--config", "c\udcff.json"], [], 2,
+                 "ConfigError: config path must be UTF-8 text, without lone surrogates",
+                 id="config-path-not-utf8"),
+    pytest.param(["decompose", "--config", "surrogate.json"], [], 2,
+                 "ConfigError: key 'input_csv' must be UTF-8 text, without lone surrogates",
+                 id="config-surrogate"),
+    pytest.param(golden_run("decompose"), ["output_dir=o\udcff"], 2,
+                 "ConfigError: key 'output_dir' must be UTF-8 text, without lone surrogates",
+                 id="output-dir-not-utf8"),
     pytest.param(["decompose", "--config", "nul.json"], [], 2,
                  "ConfigError: key 'input_csv' must not contain a NUL character", id="config-nul"),
     pytest.param(golden_run("decompose"), ["input_csv=tiny\x00.csv"], 2,
@@ -257,6 +312,7 @@ def test_unreadable_file_or_non_finite_key_keeps_contract(tmp_path, monkeypatch,
     Path("nan.json").write_text('{"input_csv": "tiny_series.csv", "stage_lr": NaN}')
     Path("inf.json").write_text('{"input_csv": "tiny_series.csv", "validation_fraction": Infinity}')
     Path("nul.json").write_text('{"input_csv": "tiny_series\\u0000.csv"}')
+    Path("surrogate.json").write_text('{"input_csv": "x\\ud800.csv"}')
     got, err = run_checked(tmp_path, argv, overrides)
     assert got == code
     assert err.startswith(f"error: {error}"), err
@@ -267,7 +323,8 @@ def test_unreadable_file_or_non_finite_key_keeps_contract(tmp_path, monkeypatch,
 def override_values(key: str):
     """`key=value` texts for a value of the key's type: boundaries, negatives,
     -0.0, non-finite floats, paths to a directory or a missing file or holding
-    a NUL, and magnitudes small enough that no run allocates much or trains long."""
+    a NUL or a lone surrogate, and magnitudes small enough that no run
+    allocates much or trains long."""
     kind = _SCHEMA[key]
     if kind is int:
         top = {"stage_epochs": 5, "horizon": 200, "seed": 2**64}.get(key, 130)
@@ -280,9 +337,9 @@ def override_values(key: str):
             lambda seeds: ",".join(map(str, seeds)))
     elif key == "input_csv":
         values = st.sampled_from(["tiny_series.csv", "missing.csv", "adir", "latin1.csv", "",
-                                  "tiny\x00.csv"])
+                                  "tiny\x00.csv", "tiny\udcff.csv"])
     elif key == "output_dir":
-        values = st.sampled_from(["out", "afile", "adir", "missing/out", "o\x00"])
+        values = st.sampled_from(["out", "afile", "adir", "missing/out", "o\x00", "o\udcff"])
     else:
         values = st.sampled_from(["time", "value", "missing", ""])
     return values.map(lambda value: f"{key}={value}")

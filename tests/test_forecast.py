@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from ssaforecast.errors import ConfigError, DimensionMismatch, NonFiniteOutput
 from ssaforecast.forecast import forecast_series, multi_step_predict
@@ -37,10 +36,11 @@ def test_constructed_copy_net_hits_last_element():
 
 def test_trained_copy_net_approximates_last_element():
     rng = SplitMix64(17)
-    ds = build_embedding(rng.normals(300), 3)
-    ds = replace(ds, targets=ds.inputs[:, -1].copy())
-    split = split_validation(ds, 0.10, 17)
-    state, _ = train(init_network(3, 8, seed=2), split, epochs=5000, lr=0.1, momentum=0.9, patience=None)
+    inputs, _ = build_embedding(rng.normals(300), 3)
+    pairs = (inputs, inputs[:, -1])
+    split = split_validation(inputs.shape[0], 0.10, 17)
+    state, _ = train(init_network(3, 8, seed=2), pairs, split, epochs=5000, lr=0.1, momentum=0.9,
+                     patience=None)
     w = np.array([0.3, -0.5, 0.8])
     assert abs(forward(state.network, w) - 0.8) < 1e-2
 

@@ -37,6 +37,13 @@ def test_dumps_parses_with_stdlib():
     assert parsed["d"] == [0.5, 0.25]
 
 
+def test_control_characters_round_trip():
+    # U+0000 to U+001F, in a key and in a value
+    controls = "".join(map(chr, range(0x20)))
+    doc = {f"k{controls}": f"v{controls}", "each": [chr(c) for c in range(0x20)]}
+    assert json.loads(dumps(doc)) == doc
+
+
 def test_dumps_deterministic():
     doc = {"x": [1.0 / 3.0] * 3, "y": {"z": 7}}
     assert dumps(doc) == dumps(doc)

@@ -1,7 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -45,15 +43,16 @@ def random_network(m, h, seed, scale=1.0):
 
 
 def make_split(n, m, seed, target_fn=None, noise=0.0):
+    """(pairs, split): the embedded series, or its inputs with targets from
+    `target_fn`, and a 10% validation split."""
     rng = SplitMix64(seed)
     series = rng.normals(n)
-    ds = build_embedding(series, m)
+    inputs, targets = build_embedding(series, m)
     if target_fn is not None:
-        targets = np.array([target_fn(x) for x in ds.inputs])
+        targets = np.array([target_fn(x) for x in inputs])
         if noise:
             targets = targets + noise * rng.normals(len(targets))
-        ds = replace(ds, targets=targets)
-    return split_validation(ds, 0.10, seed)
+    return (inputs, targets), split_validation(targets.size, 0.10, seed)
 
 
 # -- init_network -------------------------------------------------------------
@@ -379,57 +378,59 @@ def test_gd_step_rejects_mismatched_gradient():
 # -- train ------------------------------------------------------------------------
 
 def test_train_already_optimal_returns_immediately():
-    split = make_split(60, 3, seed=2, target_fn=lambda x: 0.0)
-    state, trace = train(zero_network(3, 4), split, epochs=50, lr=0.1)
+    pairs, split = make_split(60, 3, seed=2, target_fn=lambda x: 0.0)
+    state, trace = train(zero_network(3, 4), pairs, split, epochs=50, lr=0.1, momentum=0.9,
+                         patience=200)
     assert len(trace) == 1
     assert trace[0].train_mse == 0.0
     assert state.train_mse == 0.0
 
 
 def test_train_linear_target_converges():
-    split = make_split(220, 1, seed=6, target_fn=lambda x: 0.5 * x[0])
+    pairs, split = make_split(220, 1, seed=6, target_fn=lambda x: 0.5 * x[0])
     net = init_network(1, 4, seed=0)
-    state, trace = train(net, split, epochs=2000, lr=0.05, momentum=0.9, patience=None)
+    state, trace = train(net, pairs, split, epochs=2000, lr=0.05, momentum=0.9, patience=None)
     assert state.train_mse < 1e-4
 
 
 def test_train_divergence_detected():
-    split = make_split(80, 2, seed=8)
+    pairs, split = make_split(80, 2, seed=8)
     net = init_network(2, 4, seed=1)
     with pytest.raises(DivergenceDetected) as err:
-        train(net, split, epochs=200, lr=1e6, momentum=0.0)
+        train(net, pairs, split, epochs=200, lr=1e6, momentum=0.0, patience=200)
     assert isinstance(err.value.trace, list)
 
 
 def test_train_monotone_descent_on_quadratic():
     # zero hidden and output weights freeze everything except the output
     # bias, making the loss exactly quadratic (L = 2); lr < 1/L
-    split = make_split(100, 2, seed=12)
-    state, trace = train(zero_network(2, 3), split, epochs=60, lr=0.4, momentum=0.0, patience=None)
+    pairs, split = make_split(100, 2, seed=12)
+    state, trace = train(zero_network(2, 3), pairs, split, epochs=60, lr=0.4, momentum=0.0,
+                         patience=None)
     errors = [e.train_mse for e in trace]
     assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
 
 
 def test_train_trace_bitwise_deterministic():
-    split = make_split(120, 3, seed=5)
+    pairs, split = make_split(120, 3, seed=5)
     net = init_network(3, 6, seed=7)
-    _, t1 = train(net, split, epochs=150, lr=0.05, momentum=0.9, patience=None)
-    _, t2 = train(net, split, epochs=150, lr=0.05, momentum=0.9, patience=None)
+    _, t1 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=None)
+    _, t2 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=None)
     assert t1 == t2
 
 
 def test_train_returns_best_validation_state():
-    split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
+    pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
     net = init_network(2, 8, seed=3)
-    state, trace = train(net, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
+    state, trace = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
     assert state.validation_mse <= min(e.validation_mse for e in trace)
 
 
 def test_train_leaves_its_network_unchanged():
-    split = make_split(120, 3, seed=5)
+    pairs, split = make_split(120, 3, seed=5)
     net = init_network(3, 6, seed=7)
     before = net.flat.copy()
-    state, trace = train(net, split, epochs=80, lr=0.05, momentum=0.9, patience=None)
+    state, trace = train(net, pairs, split, epochs=80, lr=0.05, momentum=0.9, patience=None)
     np.testing.assert_array_equal(net.flat, before)
     assert state.epoch > 1 and not np.shares_memory(state.network.flat, net.flat)
 
@@ -438,23 +439,26 @@ def test_best_network_survives_warm_started_training():
     """The returned best network is a snapshot: training on from it, as the
     next curriculum stage does, and training the same call's parameters on
     past the best epoch leave it as it was."""
-    split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
-    state, trace = train(init_network(2, 8, seed=3), split, epochs=400, lr=0.1, patience=None)
+    pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
+    state, trace = train(init_network(2, 8, seed=3), pairs, split, epochs=400, lr=0.1,
+                         momentum=0.9, patience=None)
     assert state.epoch < len(trace)  # the parameters moved on after the best epoch
     snapshot = state.network.flat.copy()
-    pred = mse(forward_batch(state.network, Batch(split.validation.inputs, None, 8)),
-               split.validation.targets)
+    (inputs, targets), (_, validation) = pairs, split
+    pred = mse(forward_batch(state.network, Batch(inputs[validation], None, 8)),
+               targets[validation])
     assert pred == state.validation_mse
-    later, _ = train(state.network, make_split(100, 2, seed=45), epochs=100, lr=0.1)
+    later, _ = train(state.network, *make_split(100, 2, seed=45), epochs=100, lr=0.1,
+                     momentum=0.9, patience=200)
     np.testing.assert_array_equal(state.network.flat, snapshot)
     assert not np.array_equal(later.network.flat, snapshot)
 
 
 def test_train_early_stopping_cuts_budget():
-    split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
+    pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
     net = init_network(2, 8, seed=3)
-    _, trace_full = train(net, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
-    _, trace_cut = train(net, split, epochs=400, lr=0.1, momentum=0.9, patience=10)
+    _, trace_full = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
+    _, trace_cut = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=10)
     assert len(trace_cut) <= len(trace_full)
 
 

@@ -148,9 +148,9 @@ def test_standardize_destandardize_identity(xs):
 # -- build_embedding ---------------------------------------------------------
 
 def test_embedding_enumeration():
-    ds = build_embedding(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-    assert ds.inputs.tolist() == [[1.0, 2.0], [2.0, 3.0]]
-    assert ds.targets.tolist() == [3.0, 4.0]
+    inputs, targets = build_embedding(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+    assert inputs.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+    assert targets.tolist() == [3.0, 4.0]
 
 
 def test_embedding_too_large():
@@ -159,8 +159,8 @@ def test_embedding_too_large():
 
 
 def test_embedding_count_sunspot_scale():
-    ds = build_embedding(np.arange(792.0), 5)
-    assert ds.count == 787
+    _, targets = build_embedding(np.arange(792.0), 5)
+    assert targets.size == 787
 
 
 @settings(max_examples=40)
@@ -168,52 +168,47 @@ def test_embedding_count_sunspot_scale():
 def test_embedding_flatten_reproduces_series(m, extra):
     n = m + extra
     series = np.sin(np.arange(n) * 0.7)
-    ds = build_embedding(series, m)
-    assert ds.count == n - m
-    np.testing.assert_array_equal(ds.targets, series[m:])
-    for i in range(ds.count):
-        np.testing.assert_array_equal(ds.inputs[i], series[i : i + m])
+    inputs, targets = build_embedding(series, m)
+    assert targets.size == n - m
+    np.testing.assert_array_equal(targets, series[m:])
+    for i in range(targets.size):
+        np.testing.assert_array_equal(inputs[i], series[i : i + m])
 
 
 # -- split_validation --------------------------------------------------------
 
 def test_split_sizes_ten_percent():
-    ds = build_embedding(np.arange(105.0), 5)  # 100 pairs
-    split = split_validation(ds, 0.10, seed=3)
-    assert split.validation.count == 10
-    assert split.train.count == 90
+    train, validation = split_validation(100, 0.10, seed=3)
+    assert validation.size == 10
+    assert train.size == 90
 
 
 def test_split_deterministic():
-    ds = build_embedding(np.arange(105.0), 5)
-    a = split_validation(ds, 0.10, seed=1234)
-    b = split_validation(ds, 0.10, seed=1234)
-    np.testing.assert_array_equal(a.validation_indices, b.validation_indices)
-    np.testing.assert_array_equal(a.train_indices, b.train_indices)
+    a = split_validation(100, 0.10, seed=1234)
+    b = split_validation(100, 0.10, seed=1234)
+    np.testing.assert_array_equal(a[1], b[1])
+    np.testing.assert_array_equal(a[0], b[0])
 
 
 def test_split_seeds_differ():
-    ds = build_embedding(np.arange(105.0), 5)
     differing = 0
     for s in range(100):
-        a = split_validation(ds, 0.10, seed=2 * s)
-        b = split_validation(ds, 0.10, seed=2 * s + 1)
-        if a.validation_indices.tolist() != b.validation_indices.tolist():
+        a = split_validation(100, 0.10, seed=2 * s)
+        b = split_validation(100, 0.10, seed=2 * s + 1)
+        if a[1].tolist() != b[1].tolist():
             differing += 1
     assert differing >= 99
 
 
 def test_split_bad_fraction():
-    ds = build_embedding(np.arange(20.0), 2)
     for f in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(BadFraction):
-            split_validation(ds, f, seed=0)
+            split_validation(18, f, seed=0)
 
 
 def test_split_minimum_one_validation_pair():
-    ds = build_embedding(np.arange(12.0), 2)  # 10 pairs
-    split = split_validation(ds, 0.01, seed=0)
-    assert split.validation.count == 1
+    _, validation = split_validation(10, 0.01, seed=0)
+    assert validation.size == 1
 
 
 @settings(max_examples=40)
@@ -223,10 +218,17 @@ def test_split_minimum_one_validation_pair():
     st.integers(min_value=0, max_value=2**32),
 )
 def test_split_is_partition(count, fraction, seed):
-    ds = build_embedding(np.arange(float(count + 3)), 3)
-    assert ds.count == count
-    split = split_validation(ds, fraction, seed)
-    merged = np.concatenate([split.train_indices, split.validation_indices])
+    _, targets = build_embedding(np.arange(float(count + 3)), 3)
+    assert targets.size == count
+    train, validation = split_validation(count, fraction, seed)
+    merged = np.concatenate([train, validation])
     assert sorted(merged.tolist()) == list(range(count))
-    assert split.train.count + split.validation.count == count
-    assert split.train.count >= 1 and split.validation.count >= 1
+    assert train.size + validation.size == count
+    assert train.size >= 1 and validation.size >= 1
+
+
+def test_embedding_is_a_read_only_view_of_the_series():
+    series = np.arange(10.0)
+    inputs, targets = build_embedding(series, 3)
+    assert np.shares_memory(inputs, series) and np.shares_memory(targets, series)
+    assert not inputs.flags.writeable and not targets.flags.writeable

@@ -75,9 +75,20 @@ def errors(trace):
     return [(e.train_mse, e.validation_mse) for e in trace]
 
 
-def assert_runs_agree(net, split, epochs, lr, momentum, patience, rtol=TRACE_RTOL):
-    state, trace = train(net, split, epochs, lr, momentum, patience)
-    ref_state, ref_trace = reference_train(net, split, epochs, lr, momentum, patience)
+def named_split(pairs, split):
+    """The reference trainers' form of `train`'s (pairs, split): the train
+    and validation pairs by name."""
+    (inputs, targets), (train_idx, validation_idx) = pairs, split
+    return SimpleNamespace(
+        train=SimpleNamespace(inputs=inputs[train_idx], targets=targets[train_idx]),
+        validation=SimpleNamespace(inputs=inputs[validation_idx], targets=targets[validation_idx]),
+    )
+
+
+def assert_runs_agree(net, pairs, split, epochs, lr, momentum, patience, rtol=TRACE_RTOL):
+    state, trace = train(net, pairs, split, epochs, lr, momentum, patience)
+    ref_state, ref_trace = reference_train(net, named_split(pairs, split), epochs, lr, momentum,
+                                           patience)
     # control flow: exactly the same epochs, stop and best epoch
     assert [e.epoch for e in trace] == [e.epoch for e in ref_trace]
     assert state.epoch == ref_state.epoch
@@ -135,8 +146,9 @@ def test_warm_started_sunspot_curriculum_with_patience(sunspots):
     lengths = []
     for idx, p in enumerate([*range(2, 35, 2), 35, None]):
         source = sunspots.values if p is None else partial_reconstruction(dec, p)
-        split = split_validation(build_embedding(source, 5), 0.10, idx)
-        state, trace = assert_runs_agree(net, split, 600, 0.05, 0.9, patience=200)
+        pairs = build_embedding(source, 5)
+        split = split_validation(pairs[1].size, 0.10, idx)
+        state, trace = assert_runs_agree(net, pairs, split, 600, 0.05, 0.9, patience=200)
         if len(trace) < 600:
             assert state.epoch == len(trace) - 200
         lengths.append(len(trace))
@@ -147,9 +159,10 @@ def test_warm_started_sunspot_curriculum_with_patience(sunspots):
 @pytest.mark.parametrize("hidden, m, momentum", [(5, 4, 0.9), (7, 3, 0.5), (1, 1, 0.0), (12, 6, 0.95)])
 def test_full_budget_without_patience(hidden, m, momentum):
     series = standardize(two_sine_benchmark(300, seed=hidden)).values
-    split = split_validation(build_embedding(series, m), 0.10, seed=m)
+    pairs = build_embedding(series, m)
+    split = split_validation(pairs[1].size, 0.10, seed=m)
     net = init_network(m, hidden, seed=hidden + m)
-    _, trace = assert_runs_agree(net, split, 300, 0.05, momentum, patience=None)
+    _, trace = assert_runs_agree(net, pairs, split, 300, 0.05, momentum, patience=None)
     assert len(trace) == 300
 
 
@@ -158,22 +171,23 @@ def test_plateau_keeps_the_first_best_epoch():
     training target, the validation error stops changing bit for bit, and the
     first epoch at that level stays the best until patience runs out."""
     rows = np.linspace(-1.0, 1.0, 120).reshape(40, 3)
-    train_pairs = SimpleNamespace(inputs=rows, targets=1.0 + 0.5 * (-1.0) ** np.arange(40))
-    validation_pairs = SimpleNamespace(inputs=rows[:5], targets=np.full(5, 2.0))
-    split = SimpleNamespace(train=train_pairs, validation=validation_pairs)
+    # 40 training pairs, then the first 5 inputs again with target 2 to validate
+    pairs = (np.vstack([rows, rows[:5]]),
+             np.concatenate([1.0 + 0.5 * (-1.0) ** np.arange(40), np.full(5, 2.0)]))
+    split = (np.arange(40), np.arange(40, 45))
     net = Network(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
-    state, trace = assert_runs_agree(net, split, 1000, 0.4, 0.0, patience=50, rtol=0.0)
+    state, trace = assert_runs_agree(net, pairs, split, 1000, 0.4, 0.0, patience=50, rtol=0.0)
     assert len(trace) < 1000 and state.epoch == len(trace) - 50
     assert trace[-1].validation_mse == state.validation_mse
 
 
 def test_zero_error_stops_at_once():
     series = standardize(two_sine_benchmark(120, seed=2)).values
-    split = split_validation(build_embedding(series, 3), 0.10, seed=2)
-    zero = lambda a: replace(a, targets=np.zeros_like(a.targets))
-    split = replace(split, train=zero(split.train), validation=zero(split.validation))
+    inputs, targets = build_embedding(series, 3)
+    pairs = (inputs, np.zeros_like(targets))
+    split = split_validation(targets.size, 0.10, seed=2)
     net = Network(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
-    state, trace = assert_runs_agree(net, split, 50, 0.1, 0.9, patience=10, rtol=0.0)
+    state, trace = assert_runs_agree(net, pairs, split, 50, 0.1, 0.9, patience=10, rtol=0.0)
     assert len(trace) == 1 and state.train_mse == 0.0
 
 
@@ -184,9 +198,11 @@ def failure(run):
     return type(exc), str(exc), getattr(exc, "trace", [])
 
 
-def assert_same_failure(net, split, epochs, lr, momentum, patience=None):
-    kind, message, trace = failure(lambda: train(net, split, epochs, lr, momentum, patience))
-    want = failure(lambda: reference_train(net, split, epochs, lr, momentum, patience))
+def assert_same_failure(net, pairs, split, epochs, lr, momentum, patience=None):
+    kind, message, trace = failure(lambda: train(net, pairs, split, epochs, lr, momentum,
+                                                 patience))
+    want = failure(lambda: reference_train(net, named_split(pairs, split), epochs, lr, momentum,
+                                           patience))
     assert (kind, message) == want[:2]
     assert [e.epoch for e in trace] == [e.epoch for e in want[2]]
     assert_close(errors(trace), errors(want[2]), TRACE_RTOL)
@@ -195,22 +211,26 @@ def assert_same_failure(net, split, epochs, lr, momentum, patience=None):
 
 def test_divergence_fails_like_the_reference():
     series = standardize(two_sine_benchmark(200, seed=4)).values
-    split = split_validation(build_embedding(series, 4), 0.10, seed=4)
-    kind, message, trace = assert_same_failure(init_network(4, 5, seed=4), split, 200, 1e6, 0.0)
+    pairs = build_embedding(series, 4)
+    split = split_validation(pairs[1].size, 0.10, seed=4)
+    kind, message, trace = assert_same_failure(init_network(4, 5, seed=4), pairs, split, 200, 1e6,
+                                               0.0)
     assert kind is DivergenceDetected
     assert message.startswith("training error became non-finite at epoch")
     assert len(trace) > 1
 
 
 def huge_input_split(scale, target):
-    pair = SimpleNamespace(inputs=np.full((2, 1), scale), targets=np.full(2, target))
-    return SimpleNamespace(train=pair, validation=pair)
+    """(pairs, split): two equal pairs, each both trained on and validated on."""
+    both = np.arange(2)
+    return (np.full((2, 1), scale), np.full(2, target)), (both, both)
 
 
 def test_non_finite_gradient_fails_like_the_reference():
     # finite error, but dz^T x overflows on inputs near the float64 limit
     net = Network(np.full((1, 1), 1e-308), np.zeros(1), np.ones((1, 1)), np.zeros(1))
-    kind, message, _ = assert_same_failure(net, huge_input_split(1e308, target=100.0), 5, 0.1, 0.9)
+    kind, message, _ = assert_same_failure(net, *huge_input_split(1e308, target=100.0), 5, 0.1,
+                                           0.9)
     assert (kind, message) == (DivergenceDetected, "gradient became non-finite at epoch 1")
 
 
@@ -218,9 +238,9 @@ def test_non_finite_step_fails_like_the_reference():
     # finite gradient, but the step overflows the hidden weight: the reference
     # lets the bare ValueError through, the trainer reports a divergence
     net = Network(np.full((1, 1), 1e-300), np.zeros(1), np.ones((1, 1)), np.zeros(1))
-    split = huge_input_split(1e300, target=1.0)
-    got = failure(lambda: train(net, split, 5, 1e10, 0.9))
-    want = failure(lambda: reference_train(net, split, 5, 1e10, 0.9))
+    pairs, split = huge_input_split(1e300, target=1.0)
+    got = failure(lambda: train(net, pairs, split, 5, 1e10, 0.9, 200))
+    want = failure(lambda: reference_train(net, named_split(pairs, split), 5, 1e10, 0.9))
     assert want[:2] == (ValueError, "network parameters must be finite")
     assert got[:2] == (DivergenceDetected, "parameters became non-finite at epoch 1")
     assert got[2] == want[2] == []
@@ -269,14 +289,12 @@ def test_trainer_matches_allocating_trainer_bitwise(m, h, n, seed, scale, weight
     rng = SplitMix64(seed)
     inputs = rng.uniforms((n + 4) * m, -scale, scale).reshape(n + 4, m)
     targets = rng.normals(n + 4)
-    split = SimpleNamespace(
-        train=SimpleNamespace(inputs=inputs[:n], targets=targets[:n]),
-        validation=SimpleNamespace(inputs=inputs[n:], targets=targets[n:]),
-    )
+    pairs, split = (inputs, targets), (np.arange(n), np.arange(n, n + 4))
     net = random_network(m, h, rng)
     net = replace(net, hidden_weights=weight * net.hidden_weights)
     before = net.flat.copy()
-    got = outcome(lambda: train(net, split, epochs, lr, momentum, patience))
-    want = outcome(lambda: allocating_train(net, split, epochs, lr, momentum, patience))
+    got = outcome(lambda: train(net, pairs, split, epochs, lr, momentum, patience))
+    want = outcome(lambda: allocating_train(net, named_split(pairs, split), epochs, lr, momentum,
+                                            patience))
     assert got == want
     np.testing.assert_array_equal(net.flat, before)
