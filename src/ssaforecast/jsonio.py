@@ -2,12 +2,13 @@
 digits ("%.17g", lossless for doubles) and non-finite values are refused, so
 identical runs produce byte-identical artifacts.
 
-A CSV row is formatted by one "%" template made from its cell types; a 2-D
-float array, like a float array in JSON, is checked for finiteness in one
-call and converted to Python floats a block of rows at a time.  Each file is
-streamed to a temp file ``<name>.<pid>.<n>.tmp`` next to the target, unique
-to the writer, which replaces the target once complete and is removed on any
-error: the target is always either the old file or the complete new one.
+A float array, in a CSV file or in JSON, is checked for finiteness in one
+call and formatted by one vectorized routine, `_float_text`, a block of cells
+at a time; it writes the bytes "%.17g" writes.  Other CSV rows are formatted
+by one "%" template made from their cell types.  Each file is streamed to a
+temp file ``<name>.<pid>.<n>.tmp`` next to the target, unique to the writer,
+which replaces the target once complete and is removed on any error: the
+target is always either the old file or the complete new one.
 
 A 2-D float array of at least `_LANE_CELLS` cells is formatted on one lane
 per CPU (`lanes.run_side_by_side`) once it has passed the finiteness check.
@@ -32,11 +33,18 @@ from .lanes import lane_count, run_side_by_side
 
 # spaces per nesting level of JSON output
 _INDENT = 2
-# rows converted and written per block: bounds the Python floats held at once
+# rows of mixed cells converted and written per block: bounds the Python
+# objects held at once
 _BLOCK_ROWS = 256
-# cells from which a float array is formatted on several lanes: forking and
-# joining two lanes of an 80 MB process takes about 3.5 ms, and "%.17g" about
-# 0.64 us per float, so this many cells take about 42 ms on one lane
+# float cells formatted per block: bounds _float_text's temporaries, about
+# 300 bytes a cell (2.3 MiB a block by tracemalloc, where a block of 256 rows
+# of 257 floats took 6.2 MiB as Python floats and strings)
+_BLOCK_CELLS = 1 << 13
+# cells from which a float array is formatted on several lanes.  Measured on
+# 2 vCPUs in an 86 MB process: a second lane costs about 5 ms (fork, join,
+# sendfile) and one lane formats and writes about 0.37 us a cell, so two
+# lanes took 14.5 ms against one lane's 13.1 ms at 32,896 cells and 17.5 ms
+# against 25.2 ms at 65,792 cells
 _LANE_CELLS = 1 << 16
 _temp_ids = itertools.count()
 
@@ -58,6 +66,140 @@ def _require_finite(values: np.ndarray) -> None:
         raise _non_finite(float(values[~finite][0]))
 
 
+# -- "%.17g" of a float array ---------------------------------------------------
+#
+# For 1e-4 <= |x| < 1e17, "%.17g" % x is the integer
+# D = round-half-even(|x| * 10**(16 - e10)), 1e16 <= D < 1e17, e10 being the
+# decimal exponent of |x|, written in fixed notation without trailing zeros.
+# 10**s is an exact double for s <= 20, so Dekker's two-product gives the
+# product exactly as hi + lo; hi >= 1e16 is an even integer, so
+# D = hi + rint(lo) rounds ties to even, as Python does.  Each cell's text is
+# laid out in four little-endian 64-bit words, byte j in bits 8(j % 8) to
+# 8(j % 8) + 7 of word j // 8: the sign at byte 0, then "0000000" and D's
+# digits with the '.' inserted, cut to the bytes the text keeps, and the
+# separator at byte 26.  The zero bytes left are then deleted.  Any other
+# cell is formatted by format_float.
+
+_WORD = np.dtype("<u8")
+_POW10 = np.array([float(10**s) for s in range(21)])
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of at most 26 bits each."""
+    t = a * 134217729.0  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+_BELOW_1E17 = np.nextafter(1e17, 0)
+
+
+def _two_product(a, s):
+    """hi, lo with hi + lo == a * 10**s exactly (Dekker 1971)."""
+    hi = a * _POW10[s]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _divmod(n, k: int):
+    """np.divmod(n, k), by floor division, which numpy does faster."""
+    q = n // k
+    return q, n - q * k
+
+
+def _below(hi, lo, bound):
+    """Whether hi + lo < bound, for the sum of a two-product."""
+    return (hi < bound) | ((hi == bound) & (lo < 0))
+
+
+_GROUPS = np.arange(10000)
+# the ASCII digits of 0000-9999, as the low and the high half of a word
+_DIGITS = (_GROUPS[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_DIGITS_LO = _DIGITS.view("<u4").ravel().astype(_WORD)
+_DIGITS_HI = _DIGITS_LO << np.uint64(32)
+# _GROUP_END[k][g]: where the text ends, after its last nonzero digit, if
+# that digit lies in g, the k-th 4-digit group (bytes 8 + 4k to 11 + 4k);
+# 8, just after d0, if g is 0
+_GROUP_END = np.where(
+    _GROUPS == 0, 8, 12 + 4 * np.arange(4)[:, None] - np.argmax(_DIGITS[:, ::-1] != 48, axis=1)
+).astype(np.uint8)
+# Byte masks over the 24 digit bytes, for the '.' position p (the bytes
+# before it are the integer part) and the end e: the integer part
+# [min(p - 1, 7), p), indexed by p; the fraction [p, e), indexed by 25p + e,
+# with its '.' at byte p - 1 if it is not empty.
+_BYTE, _P, _E = np.arange(24), np.arange(25)[:, None, None], np.arange(25)[None, :, None]
+
+
+def _words(table) -> np.ndarray:
+    """Rows of 24 bytes as words, word k of row i at [k, i]."""
+    return table.astype(np.uint8).reshape(-1, 24).view(_WORD).T.copy()
+
+
+_INT_MASK = _words(np.where((_BYTE >= np.minimum(_P - 1, 7)) & (_BYTE < _P), 255, 0))
+_FRAC_MASK = _words(np.where((_BYTE >= _P) & (_BYTE < _E), 255, 0))
+_FRAC_DOT = _words(np.where((_BYTE == _P - 1) & (_E > _P), 46, 0))
+_ZEROS = np.frombuffer(b"0000000\0", _WORD)[0]
+_SEP_BYTES = np.uint64(0xFF << 16)
+_COMMA, _NEWLINE = np.uint64(44 << 16), np.uint64(10 << 16)
+
+
+def _float_text(values: np.ndarray) -> str:
+    """The CSV lines of a finite 2-D float array with at least one column:
+    each cell's "%.17g" text, followed by "," or, after a row's last
+    cell, by a newline."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    # the other cells get a value in range, and are overwritten below
+    np.clip(a, 1e-4, _BELOW_1E17, out=a)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(e10, -4, 16, out=e10)
+    hi, lo = _two_product(a, 16 - e10)
+    # the estimate is off by one at most, near a power of ten
+    low, high = _below(hi, lo, 1e16), ~_below(hi, lo, 1e17)
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e10[fix] += high[fix].astype(np.int64) - low[fix]
+        hi[fix], lo[fix] = _two_product(a[fix], 16 - e10[fix])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # d = d0 g1 g2 g3 g4, one digit and four 4-digit groups
+    upper, lower = _divmod(d, 100000000)
+    d0, upper = _divmod(upper, 100000000)
+    g1, g2 = _divmod(upper, 10000)
+    g3, g4 = _divmod(lower, 10000)
+    # the digit bytes "0000000" d0 g1 g2 g3 g4, as three words
+    s0 = (d0.astype(_WORD) + np.uint64(48)) << np.uint64(56) | _ZEROS
+    s1 = _DIGITS_LO[g1] | _DIGITS_HI[g2]
+    s2 = _DIGITS_LO[g3] | _DIGITS_HI[g4]
+    point = e10 + 8
+    end = np.maximum(
+        np.maximum(_GROUP_END[0][g1], _GROUP_END[1][g2]),
+        np.maximum(_GROUP_END[2][g3], _GROUP_END[3][g4]),
+    )
+    frac = point * 25 + np.maximum(end, point)
+    i0, i1, i2 = (s & mask[point] for s, mask in zip((s0, s1, s2), _INT_MASK))
+    f0, f1, f2 = (
+        s & mask[frac] | dot[frac] for s, mask, dot in zip((s0, s1, s2), _FRAC_MASK, _FRAC_DOT)
+    )
+    # the integer part one byte up, after the sign; the fraction two
+    b8, b16, b48, b56 = (np.uint64(k) for k in (8, 16, 48, 56))
+    words = np.empty((x.size, 4), _WORD)
+    words[:, 0] = i0 << b8 | f0 << b16 | (x < 0).view(np.uint8) * np.uint64(45)
+    words[:, 1] = i1 << b8 | i0 >> b56 | f1 << b16 | f0 >> b48
+    words[:, 2] = i2 << b8 | i1 >> b56 | f2 << b16 | f1 >> b48
+    words[:, 3] = i2 >> b56 | f2 >> b48 | _COMMA
+    words.reshape(len(values), -1, 4)[:, -1, 3] ^= _COMMA ^ _NEWLINE
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [format_float(v) for v in x[slow].tolist()]
+        words[slow, :3] = np.array(text, dtype="S24").view(_WORD).reshape(-1, 3)
+        words[slow, 3] &= _SEP_BYTES
+    chars = words.view(np.uint8).ravel()
+    return chars[chars != 0].tobytes().decode("ascii")
+
+
 def _bracket(items: list[str], level: int, open_: str, close: str) -> str:
     if not items:
         return open_ + close
@@ -66,13 +208,27 @@ def _bracket(items: list[str], level: int, open_: str, close: str) -> str:
     return f"{open_}\n{child_pad}" + f",\n{child_pad}".join(items) + f"\n{pad}{close}"
 
 
-def _render_floats(values: list, level: int) -> str:
-    """A nested list of finite floats, laid out as _render lays out lists."""
-    if values and isinstance(values[0], list):
-        items = [_render_floats(v, level + 1) for v in values]
-    else:
-        items = ["%.17g" % v for v in values]
+def _nest(items: list[str], shape: tuple[int, ...], level: int) -> str:
+    """The rendered innermost lists of an array, in row-major order, laid
+    out as _render lays out nested lists; `shape` leaves out the last axis."""
+    if not shape:
+        return items[0]
+    size = math.prod(shape[1:])
+    items = [_nest(items[i * size : (i + 1) * size], shape[1:], level + 1) for i in range(shape[0])]
     return _bracket(items, level, "[", "]")
+
+
+def _render_floats(values: np.ndarray, level: int) -> str:
+    """A finite float array, laid out as _render lays out nested lists."""
+    *outer, inner = values.shape
+    depth = level + len(outer)
+    lines = (
+        line
+        for block in _float_blocks(values.reshape(math.prod(outer), inner))
+        for line in block[:-1].split("\n")
+    )
+    rows = [_bracket(line.split(",") if line else [], depth, "[", "]") for line in lines]
+    return _nest(rows, tuple(outer), level)
 
 
 def _render(obj, level: int) -> str:
@@ -89,8 +245,9 @@ def _render(obj, level: int) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            _require_finite(obj)
-            return _render_floats(obj.tolist(), level)
+            values = np.asarray(obj, dtype=np.float64)
+            _require_finite(values)
+            return _render_floats(values, level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return _bracket([_render(v, level + 1) for v in obj], level, "[", "]")
@@ -156,11 +313,14 @@ def _is_float_matrix(rows) -> bool:
 
 
 def _float_blocks(rows: np.ndarray):
-    """The CSV text of a finite 2-D float array, a block of rows at a time."""
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS].tolist()
-        yield "".join([template % tuple(row) for row in block])
+    """The CSV text of a finite 2-D float array, a block of rows of at most
+    `_BLOCK_CELLS` cells (or one row) at a time."""
+    if not rows.shape[1]:
+        yield "\n" * len(rows)
+        return
+    step = max(1, _BLOCK_CELLS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield _float_text(rows[start : start + step])
 
 
 def _csv_blocks(rows):

@@ -85,10 +85,31 @@ class SplitMix64:
             if u <= limit:
                 return u % n
 
+    def _outputs(self, count: int) -> np.ndarray:
+        """The next `count` outputs of next_u64 as one uint64 array; the
+        state is left where it was."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_PHI) + np.uint64(self._state)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z = (z ^ (z >> np.uint64(shift))) * np.uint64(factor)
+        return z ^ (z >> np.uint64(31))
+
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n)."""
-        out = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+        """Fisher-Yates shuffle of range(n): for i = n-1 down to 1, swap
+        position i with below(i + 1).  The draws are made a block at a
+        time; a rejected draw ends the block, and the next block starts
+        after it, so each swap takes the draw that `below` would take."""
+        out = list(range(n))
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for each i
+        done = 0
+        while done < bounds.size:
+            todo = bounds[done:]
+            draws = self._outputs(todo.size)
+            # below(b) takes u <= 2**64 - 1 - 2**64 % b; 0 - b wraps to 2**64 - b
+            limits = np.uint64(_MASK64) - (np.uint64(0) - todo) % todo
+            rejected = np.flatnonzero(draws > limits)
+            take = int(rejected[0]) if rejected.size else todo.size
+            self._state = (self._state + (take + bool(rejected.size)) * _PHI) & _MASK64
+            for i, j in zip(range(n - 1 - done, 0, -1), (draws[:take] % todo[:take]).tolist()):
+                out[i], out[j] = out[j], out[i]
+            done += take
+        return np.array(out, dtype=np.int_)

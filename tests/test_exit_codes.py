@@ -1,6 +1,7 @@
 """The CLI's exit-code contract: whatever the CSV, config value or path,
 `main` returns 0, 1 or 2 and raises nothing; a failure ends stderr with one
-`error:` line, and no temp file is left behind."""
+`error:` line, no temp or part file is left behind, and a run rejected with
+exit 2 writes nothing at all."""
 
 import contextlib
 import io
@@ -81,14 +82,17 @@ def run_main(argv) -> tuple[object, str]:
     return code, err.getvalue()
 
 
-def assert_contract(code, err: str, workdir: Path) -> None:
+def assert_contract(code, err: str, workdir: Path, before: set) -> None:
+    """`before`: the paths under `workdir` before the run."""
     assert code in (0, 1, 2), f"main returned or raised {code!r}; stderr: {err}"
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     if code == 0:
         assert errors == []
     else:
         assert len(errors) == 1 and err.splitlines()[-1] == errors[0], err
-    assert not list(workdir.rglob("*.tmp"))
+    assert not list(workdir.rglob("*.tmp")) and not list(workdir.rglob("*.tmp.part*"))
+    if code == 2:
+        assert set(workdir.rglob("*")) == before, err
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,8 +107,9 @@ def test_degenerate_csv_keeps_exit_code_contract(values, command):
             Path("network.json").write_text(json.dumps(NETWORK))
             rows = [f"{t},{v!r}" for t, v in enumerate(values)]
             Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+            before = set(workdir.rglob("*"))
             code, err = run_main([command[0], "--config", "config.json", *command[1:]])
-            assert_contract(code, err, workdir)
+            assert_contract(code, err, workdir, before)
         finally:
             os.chdir(cwd)
 
@@ -113,12 +118,12 @@ def test_degenerate_csv_keeps_exit_code_contract(values, command):
 def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon):
     (workdir / "out").mkdir()
     shutil.copy(fixtures_dir / "golden" / "network.json", workdir / "out" / "network.json")
+    before = set(workdir.rglob("*"))
     code, err = run_main(["predict", "--config", "golden_config.json",
                           "--network", "out/network.json", "--horizon", horizon])
     assert code == 2
     assert err == "error: ConfigError: horizon must be at least 1\n"
-    assert not Path("out/forecast.csv").exists()
-    assert_contract(code, err, workdir)
+    assert_contract(code, err, workdir, before)
 
 
 def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):
@@ -129,10 +134,11 @@ def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):
     Path("network.json").write_text(json.dumps({**network, "output_bias": [1.5e308]}))
     rows = [f"{t},{10.0 * math.sin(t)!r}" for t in range(40)]
     Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    before = set(tmp_path.rglob("*"))
     code, err = run_main(["predict", "--config", "config.json", "--network", "network.json"])
     assert (code, err) == (1, "error: NonFiniteOutput: forecast step 1 overflows in original "
                               "units\n")
-    assert_contract(code, err, tmp_path)
+    assert_contract(code, err, tmp_path, before)
     partial = json.loads(Path("out/forecast_partial.json").read_text())
     assert partial["partial_standardized"] == []
     assert sorted(os.listdir("out")) == ["forecast_partial.json"]
@@ -148,11 +154,12 @@ def test_compare_overflowing_forecast_rmse_exit_1(tmp_path, monkeypatch):
               for t in range(200)]
     rows = [f"{t},{v!r}" for t, v in enumerate(values)]
     Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    before = set(tmp_path.rglob("*"))
     code, err = run_main(["compare", "--config", "config.json"])
     assert code == 1
     assert err.splitlines()[-1] == ("error: NonFiniteOutput: seed 0: forecast RMSE overflows in "
                                     "original units")
-    assert_contract(code, err, tmp_path)
+    assert_contract(code, err, tmp_path, before)
     document = json.loads(Path("out/comparison.json").read_text())
     assert document["error"].startswith("seed 0:") and document["per_seed"] == []
 
@@ -164,10 +171,11 @@ def test_constant_holdout_compare_exit_0(tmp_path, monkeypatch):
     values = [0.5 if t >= 150 else math.sin(2.0 * math.pi * t / 12.0) for t in range(200)]
     rows = [f"{t},{v!r}" for t, v in enumerate(values)]
     Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    before = set(tmp_path.rglob("*"))
     code, err = run_main(["compare", "--config", "config.json", "--set", "window=10",
                           "--set", "stage_epochs=5", "--set", "compare_horizon=50"])
     assert code == 0, err
-    assert_contract(code, err, tmp_path)
+    assert_contract(code, err, tmp_path, before)
     medians = json.loads(Path("out/comparison.json").read_text())["medians"]
     assert math.isfinite(medians["curriculum_forecast_rmse"])
 
@@ -197,14 +205,11 @@ def prepare(workdir: Path) -> None:
 
 
 def run_checked(workdir: Path, argv, overrides=()) -> tuple[object, str]:
-    """Run `argv` with `overrides` after FAST, check the contract, and check
-    that a run rejected with exit 2 wrote nothing."""
+    """Run `argv` with `overrides` after FAST and check the contract."""
     before = set(workdir.rglob("*"))
     sets = [arg for override in (*FAST, *overrides) for arg in ("--set", override)]
     code, err = run_main([*argv, *sets])
-    assert_contract(code, err, workdir)
-    if code == 2:
-        assert set(workdir.rglob("*")) == before, err
+    assert_contract(code, err, workdir, before)
     return code, err
 
 

@@ -80,9 +80,67 @@ def test_csv_arrays_match_the_reference(tmp_path_factory, matrix):
 
 
 def test_csv_array_spanning_several_blocks_matches_the_reference(tmp_path):
-    matrix = np.random.default_rng(0).standard_normal((3 * jsonio._BLOCK_ROWS + 5, 9))
+    rows = max(3 * jsonio._BLOCK_ROWS, 3 * jsonio._BLOCK_CELLS // 9) + 5
+    matrix = np.random.default_rng(0).standard_normal((rows, 9))
     assert_same_csv(tmp_path, lambda: matrix)
     assert_same_csv(tmp_path, lambda: (list(row) for row in matrix))
+
+
+# -- the vectorized "%.17g" at its edges --------------------------------------------
+
+def powers_of_ten_and_neighbours(dtype) -> np.ndarray:
+    """Each 10**k, k = -5..18, and the values of `dtype` on both sides of it:
+    around 1e-4 and 1e17 the text changes notation, and just below a power
+    of ten it changes its number of integer digits."""
+    powers = np.array([float(f"1e{k}") for k in range(-5, 19)], dtype=dtype)
+    below, above = np.nextafter(powers, dtype(0)), np.nextafter(powers, dtype(2e38))
+    return np.concatenate([below, powers, above])
+
+
+def signed(values) -> np.ndarray:
+    return np.concatenate([values, -values])
+
+
+# the rounding ties of 1234567890123456.25 and .75 (to even: ...456.2 and
+# ...456.8), the neighbours of every power of ten from 1e-5 to 1e18, and
+# cells the fast path (1e-4 <= |x| < 1e17) hands to format_float
+EDGES = signed(np.concatenate([
+    [1234567890123456.25, 1234567890123456.75, 0.0, 5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308],
+    powers_of_ten_and_neighbours(np.float64),
+]))
+EDGES_32 = signed(np.concatenate([
+    np.array([0.0, 1e-45, 3.4028235e38], dtype=np.float32),
+    powers_of_ten_and_neighbours(np.float32),
+]))
+
+
+def test_edge_values_in_csv_match_the_reference(tmp_path):
+    assert "%.17g" % 1234567890123456.25 == "1234567890123456.2"
+    assert 1e-4 in EDGES and 9.9999999999999991e-05 in EDGES and 9.9999999999999984e16 in EDGES
+    for edges in (EDGES, EDGES_32):
+        for matrix in (edges.reshape(-1, 2), edges.reshape(1, -1), edges.reshape(-1, 1)):
+            assert_same_csv(tmp_path, lambda: matrix)
+
+
+def test_edge_values_in_json_match_the_reference():
+    doc = {"v": EDGES, "m": EDGES.reshape(2, -1, 2), "f32": EDGES_32}
+    assert dumps(doc) == reference_dumps(doc)
+
+
+def test_random_bit_patterns_match_percent_17g(tmp_path):
+    # 2**20 doubles from random bits; after the first 2**17, the binary
+    # exponent is drawn from 2**-16 .. 2**57, which covers the fast path's range
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+    fast = bits[2**17:]
+    exponents = rng.integers(1023 - 16, 1023 + 58, size=fast.size).astype(np.uint64)
+    fast[:] = fast & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 0.5
+    write_csv(tmp_path / "out.csv", ["x"], values.reshape(-1, 1))
+    want = "x\n" + "".join(["%.17g\n" % x for x in values.tolist()])
+    assert (tmp_path / "out.csv").read_text() == want
 
 
 @settings(max_examples=200, deadline=None)

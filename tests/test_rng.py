@@ -64,3 +64,68 @@ def test_permutation_is_permutation(seed):
 
 def test_permutation_deterministic():
     assert np.array_equal(SplitMix64(5).permutation(50), SplitMix64(5).permutation(50))
+
+
+# -- permutations against the scalar Fisher-Yates ---------------------------------
+
+MASK64 = 2**64 - 1
+PHI = 0x9E3779B97F4A7C15
+
+
+def reference_permutation(rng: SplitMix64, n: int) -> np.ndarray:
+    """SplitMix64.permutation as first written: one below() per swap."""
+    out = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def unxorshift(z: int, shift: int) -> int:
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The state that mix64 maps to z."""
+    z = unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    z = unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return unxorshift(z, 30)
+
+
+def test_unmix64_inverts_mix64():
+    rng = SplitMix64(3)
+    rng._state = unmix64(12345) - PHI
+    assert rng.next_u64() == 12345
+
+
+def assert_same_permutation(make_rng, n):
+    block, scalar = make_rng(), make_rng()
+    got, want = block.permutation(n), reference_permutation(scalar, n)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert block._state == scalar._state
+
+
+def test_permutation_matches_the_scalar_shuffle():
+    for seed in range(50):
+        for n in (0, 1, 2, 3, 10, 545, 787):
+            assert_same_permutation(lambda: SplitMix64(seed), n)
+
+
+def test_permutation_redraws_a_rejected_draw_like_below():
+    # draw k is 2**64 - 1, which below(b) rejects for every b that is not a
+    # power of two: for n = 787, the draws for bounds 787 (k = 0) and 700
+    # (k = 87), and the last draw, for bound 3 (k = 784)
+    n = 787
+    for k in (0, 87, n - 3):
+        def rigged():
+            rng = SplitMix64(0)
+            rng._state = (unmix64(MASK64) - (k + 1) * PHI) & MASK64
+            return rng
+        start = rigged()._state
+        assert_same_permutation(rigged, n)
+        moved = rigged()
+        moved.permutation(n)
+        assert moved._state == (start + n * PHI) & MASK64  # n - 1 swaps, one redraw
