@@ -37,9 +37,9 @@ _INDENT = 2
 # objects held at once
 _BLOCK_ROWS = 256
 # float cells formatted per block: bounds _float_text's temporaries, about
-# 300 bytes a cell (2.3 MiB a block by tracemalloc, where a block of 256 rows
-# of 257 floats took 6.2 MiB as Python floats and strings)
-_BLOCK_CELLS = 1 << 13
+# 170 bytes a cell (0.7 MiB a block by tracemalloc; a block of 256 rows took
+# 1.6 MiB at 66 columns and 6.2 MiB at 257 as Python floats and strings)
+_BLOCK_CELLS = 1 << 12
 # cells from which a float array is formatted on several lanes.  Measured on
 # 2 vCPUs in an 86 MB process: a second lane costs about 5 ms (fork, join,
 # sendfile) and one lane formats and writes about 0.37 us a cell, so two
@@ -114,16 +114,17 @@ def _below(hi, lo, bound):
     return (hi < bound) | ((hi == bound) & (lo < 0))
 
 
-_GROUPS = np.arange(10000)
+_GROUPS = np.arange(10000, dtype=np.uint16)
 # the ASCII digits of 0000-9999, as the low and the high half of a word
-_DIGITS = (_GROUPS[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_DIGITS = np.stack([_GROUPS // 10**k % 10 for k in (3, 2, 1, 0)], axis=1).astype(np.uint8) + 48
 _DIGITS_LO = _DIGITS.view("<u4").ravel().astype(_WORD)
 _DIGITS_HI = _DIGITS_LO << np.uint64(32)
 # _GROUP_END[k][g]: where the text ends, after its last nonzero digit, if
 # that digit lies in g, the k-th 4-digit group (bytes 8 + 4k to 11 + 4k);
 # 8, just after d0, if g is 0
+_TRAILING_ZEROS = sum((_GROUPS % 10**k == 0).astype(np.uint8) for k in (1, 2, 3))
 _GROUP_END = np.where(
-    _GROUPS == 0, 8, 12 + 4 * np.arange(4)[:, None] - np.argmax(_DIGITS[:, ::-1] != 48, axis=1)
+    _GROUPS == 0, 8, 12 + 4 * np.arange(4, dtype=np.uint8)[:, None] - _TRAILING_ZEROS
 ).astype(np.uint8)
 # Byte masks over the 24 digit bytes, for the '.' position p (the bytes
 # before it are the integer part) and the end e: the integer part
@@ -145,15 +146,9 @@ _SEP_BYTES = np.uint64(0xFF << 16)
 _COMMA, _NEWLINE = np.uint64(44 << 16), np.uint64(10 << 16)
 
 
-def _float_text(values: np.ndarray) -> str:
-    """The CSV lines of a finite 2-D float array with at least one column:
-    each cell's "%.17g" text, followed by "," or, after a row's last
-    cell, by a newline."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e17)
-    # the other cells get a value in range, and are overwritten below
-    np.clip(a, 1e-4, _BELOW_1E17, out=a)
+def _digits(a):
+    """For each a, 1e-4 <= a < 1e17: the '.' position 8 + e10, the three
+    digit words and the end of the text."""
     e10 = np.floor(np.log10(a)).astype(np.int64)
     np.clip(e10, -4, 16, out=e10)
     hi, lo = _two_product(a, 16 - e10)
@@ -169,28 +164,49 @@ def _float_text(values: np.ndarray) -> str:
     d0, upper = _divmod(upper, 100000000)
     g1, g2 = _divmod(upper, 10000)
     g3, g4 = _divmod(lower, 10000)
-    # the digit bytes "0000000" d0 g1 g2 g3 g4, as three words
-    s0 = (d0.astype(_WORD) + np.uint64(48)) << np.uint64(56) | _ZEROS
-    s1 = _DIGITS_LO[g1] | _DIGITS_HI[g2]
-    s2 = _DIGITS_LO[g3] | _DIGITS_HI[g4]
-    point = e10 + 8
+    # the digit bytes "0000000" d0 g1 g2 g3 g4
+    words = (
+        (d0.astype(_WORD) + np.uint64(48)) << np.uint64(56) | _ZEROS,
+        _DIGITS_LO[g1] | _DIGITS_HI[g2],
+        _DIGITS_LO[g3] | _DIGITS_HI[g4],
+    )
     end = np.maximum(
         np.maximum(_GROUP_END[0][g1], _GROUP_END[1][g2]),
         np.maximum(_GROUP_END[2][g3], _GROUP_END[3][g4]),
     )
+    return e10 + 8, words, end
+
+
+def _cells(a, negative) -> np.ndarray:
+    """Rows of four words holding the text of each a, 1e-4 <= a < 1e17,
+    with a '-' where `negative`, and no separator."""
+    point, digits, end = _digits(a)
     frac = point * 25 + np.maximum(end, point)
-    i0, i1, i2 = (s & mask[point] for s, mask in zip((s0, s1, s2), _INT_MASK))
-    f0, f1, f2 = (
-        s & mask[frac] | dot[frac] for s, mask, dot in zip((s0, s1, s2), _FRAC_MASK, _FRAC_DOT)
-    )
+    i0, i1, i2 = (s & mask[point] for s, mask in zip(digits, _INT_MASK))
+    f0, f1, f2 = (s & mask[frac] | dot[frac] for s, mask, dot in zip(digits, _FRAC_MASK, _FRAC_DOT))
     # the integer part one byte up, after the sign; the fraction two
     b8, b16, b48, b56 = (np.uint64(k) for k in (8, 16, 48, 56))
-    words = np.empty((x.size, 4), _WORD)
-    words[:, 0] = i0 << b8 | f0 << b16 | (x < 0).view(np.uint8) * np.uint64(45)
+    words = np.empty((a.size, 4), _WORD)
+    words[:, 0] = i0 << b8 | f0 << b16 | negative.view(np.uint8) * np.uint64(45)
     words[:, 1] = i1 << b8 | i0 >> b56 | f1 << b16 | f0 >> b48
     words[:, 2] = i2 << b8 | i1 >> b56 | f2 << b16 | f1 >> b48
-    words[:, 3] = i2 >> b56 | f2 >> b48 | _COMMA
-    words.reshape(len(values), -1, 4)[:, -1, 3] ^= _COMMA ^ _NEWLINE
+    words[:, 3] = i2 >> b56 | f2 >> b48
+    return words
+
+
+def _float_text(values: np.ndarray) -> str:
+    """The CSV lines of a finite 2-D float array with at least one column:
+    each cell's "%.17g" text, followed by "," or, after a row's last
+    cell, by a newline."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    # the other cells get a value in range, and are overwritten below
+    np.clip(a, 1e-4, _BELOW_1E17, out=a)
+    words = _cells(a, x < 0)
+    separators = words.reshape(len(values), -1, 4)[:, :, 3]
+    separators[:, :-1] |= _COMMA
+    separators[:, -1] |= _NEWLINE
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = [format_float(v) for v in x[slow].tolist()]

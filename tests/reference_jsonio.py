@@ -3,8 +3,9 @@ chain, float() and format() per value, each CSV file built as one string
 before it is written, and every array rendered element by element.
 
 The functions below are that module verbatim, renamed with a ``reference_``
-prefix and made to call one another, so tests can check that the streaming,
-per-row-template serializer writes the same bytes.
+prefix and made to call one another, so tests can check that the streaming
+serializer, with its vectorized "%.17g" for float arrays and its per-row
+templates for other rows, writes the same bytes.
 """
 
 import json
