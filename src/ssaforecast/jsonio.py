@@ -77,8 +77,9 @@ def _require_finite(values: np.ndarray) -> None:
 # laid out in four little-endian 64-bit words, byte j in bits 8(j % 8) to
 # 8(j % 8) + 7 of word j // 8: the sign at byte 0, then "0000000" and D's
 # digits with the '.' inserted, cut to the bytes the text keeps, and the
-# separator at byte 26.  The zero bytes left are then deleted.  Any other
-# cell is formatted by format_float.
+# separator at byte 26.  The zero bytes left are then deleted.  The other
+# cells (0, |x| < 1e-4, |x| >= 1e17) are formatted with "%.17g", as by
+# format_float, in one call of the % operator per block.
 
 _WORD = np.dtype("<u8")
 _POW10 = np.array([float(10**s) for s in range(21)])
@@ -142,7 +143,6 @@ _INT_MASK = _words(np.where((_BYTE >= np.minimum(_P - 1, 7)) & (_BYTE < _P), 255
 _FRAC_MASK = _words(np.where((_BYTE >= _P) & (_BYTE < _E), 255, 0))
 _FRAC_DOT = _words(np.where((_BYTE == _P - 1) & (_E > _P), 46, 0))
 _ZEROS = np.frombuffer(b"0000000\0", _WORD)[0]
-_SEP_BYTES = np.uint64(0xFF << 16)
 _COMMA, _NEWLINE = np.uint64(44 << 16), np.uint64(10 << 16)
 
 
@@ -204,14 +204,17 @@ def _float_text(values: np.ndarray) -> str:
     # the other cells get a value in range, and are overwritten below
     np.clip(a, 1e-4, _BELOW_1E17, out=a)
     words = _cells(a, x < 0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        rest = x[slow]
+        _require_finite(rest)  # a float128 can overflow the cast
+        # at most 24 characters each, so padded to 24 they fill three words
+        text = ("%-24.17g" * rest.size % tuple(rest.tolist())).encode("ascii")
+        words[slow, :3] = np.frombuffer(text.replace(b" ", b"\0"), _WORD).reshape(-1, 3)
+        words[slow, 3] = 0
     separators = words.reshape(len(values), -1, 4)[:, :, 3]
     separators[:, :-1] |= _COMMA
     separators[:, -1] |= _NEWLINE
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = [format_float(v) for v in x[slow].tolist()]
-        words[slow, :3] = np.array(text, dtype="S24").view(_WORD).reshape(-1, 3)
-        words[slow, 3] &= _SEP_BYTES
     chars = words.view(np.uint8).ravel()
     return chars[chars != 0].tobytes().decode("ascii")
 
