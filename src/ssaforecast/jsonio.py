@@ -134,14 +134,14 @@ _GROUP_END = np.where(
 _BYTE, _P, _E = np.arange(24), np.arange(25)[:, None, None], np.arange(25)[None, :, None]
 
 
-def _words(table) -> np.ndarray:
+def _as_words(table) -> np.ndarray:
     """Rows of 24 bytes as words, word k of row i at [k, i]."""
     return table.astype(np.uint8).reshape(-1, 24).view(_WORD).T.copy()
 
 
-_INT_MASK = _words(np.where((_BYTE >= np.minimum(_P - 1, 7)) & (_BYTE < _P), 255, 0))
-_FRAC_MASK = _words(np.where((_BYTE >= _P) & (_BYTE < _E), 255, 0))
-_FRAC_DOT = _words(np.where((_BYTE == _P - 1) & (_E > _P), 46, 0))
+_INT_MASK = _as_words(np.where((_BYTE >= np.minimum(_P - 1, 7)) & (_BYTE < _P), 255, 0))
+_FRAC_MASK = _as_words(np.where((_BYTE >= _P) & (_BYTE < _E), 255, 0))
+_FRAC_DOT = _as_words(np.where((_BYTE == _P - 1) & (_E > _P), 46, 0))
 _ZEROS = np.frombuffer(b"0000000\0", _WORD)[0]
 _COMMA, _NEWLINE = np.uint64(44 << 16), np.uint64(10 << 16)
 
