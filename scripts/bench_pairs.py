@@ -29,6 +29,11 @@ and quartiles, the wins and the verdict; each side's failed and attempted
 operations; and each side's toolchain fingerprint from the report of its
 first run.
 
+Each run's median time per decompose and per train command, which the
+report of bench/run.py gives but does not gate, is printed pair by pair
+and recorded under ``command_s``, so that a change to one command shows
+where a workload runs it.
+
 The parent is exported with ``git archive`` rather than checked out as a
 worktree, so the run registers nothing in the repository and leaves nothing
 behind.  Nothing under bench/ and not BENCHMARK.json is changed.
@@ -45,6 +50,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# report-only command timings of bench/run.py, shown pair by pair
+COMMAND_TIMES = ("decompose_s", "train_s")
 
 
 def export(ref: str, dest: Path) -> None:
@@ -57,14 +64,18 @@ def export(ref: str, dest: Path) -> None:
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The metrics line of one untraced benchmark run, with the toolchain
-    fingerprint of the report printed before it; exits on a failed run."""
+    fingerprint and the command timings of the report printed before it;
+    exits on a failed run."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
     *report, result = proc.stdout.strip().splitlines()
-    return {**json.loads(result), "fingerprint": json.loads("\n".join(report))["fingerprint"]}
+    report = json.loads("\n".join(report))
+    commands = {name: report["end_to_end"][name]["median"] for name in COMMAND_TIMES
+                if name in report["end_to_end"]}
+    return {**json.loads(result), "fingerprint": report["fingerprint"], "command_s": commands}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -138,12 +149,22 @@ def main(argv: list[str] | None = None) -> int:
             "ratio": {"values": ratios, "q1": r1, "median": rm, "q3": r3},
             "relative_change": change, "change_wins": wins, "verdict": verdict,
         }
+    command_s = {}
+    for name in COMMAND_TIMES:
+        pairs = [(b["command_s"].get(name), a["command_s"].get(name))
+                 for b, a in zip(runs["parent"], runs["change"])]
+        if any(None in pair for pair in pairs):
+            continue
+        print(f"\n{name} (s, median per command, not gated)")
+        for seed, (b, a) in zip(seeds, pairs):
+            print(f"  seed {seed:3d}: parent {b:.6g}  change {a:.6g}  ratio {a / b:.4f}")
+        command_s[name] = {"parent": [b for b, _ in pairs], "change": [a for _, a in pairs]}
     if args.json:
         record = {
             "workload": args.workload, "parent": args.parent, "pairs": args.pairs,
             "seconds": seconds, "seeds": seeds, "failed": failed, "attempted": attempted,
             "fingerprint": {side: results[0]["fingerprint"] for side, results in runs.items()},
-            "metrics": summary,
+            "metrics": summary, "command_s": command_s,
         }
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -30,6 +30,7 @@ from . import mlp, ssa
 from .config import RunConfig, check_text, load_config
 from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, RuntimeFailure, ValidationError
 from .jsonio import dumps, write_csv, write_json
+from .lanes import one_blas_thread
 from .series import check_embedding_size, load_csv, standardize
 
 
@@ -78,10 +79,12 @@ def cmd_decompose(config: RunConfig, echo: dict) -> int:
 
 
 def _write_train_outputs(out: Path, traces) -> None:
-    rows = []
-    for stage_idx, trace in enumerate(traces, start=1):
-        rows.extend((stage_idx, e.epoch, e.train_mse, e.validation_mse) for e in trace)
-    write_csv(out / "trace.csv", ["stage", "epoch", "train_mse", "validation_mse"], rows)
+    # one float array: %.17g writes the integral stage and epoch as integers
+    table = np.array(
+        [(stage, *entry) for stage, trace in enumerate(traces, start=1) for entry in trace],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    write_csv(out / "trace.csv", ["stage", "epoch", "train_mse", "validation_mse"], table)
 
 
 def _stage_final_errors(counts, result: cur.CurriculumResult) -> list[dict]:
@@ -290,13 +293,14 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             config, echo = load_config(args.config, args.overrides)
-            if args.command == "decompose":
-                return cmd_decompose(config, echo)
-            if args.command == "train":
-                return cmd_train(config, echo, args.mode)
-            if args.command == "predict":
-                return cmd_predict(config, echo, args.network)
-            return cmd_compare(config, echo)
+            with one_blas_thread():
+                if args.command == "decompose":
+                    return cmd_decompose(config, echo)
+                if args.command == "train":
+                    return cmd_train(config, echo, args.mode)
+                if args.command == "predict":
+                    return cmd_predict(config, echo, args.network)
+                return cmd_compare(config, echo)
         except ValidationError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

@@ -35,6 +35,7 @@ def test_gain_needs_no_more_failures_than_parent(repo_root, tmp_path, monkeypatc
                 name: {"value": (100.0 + seed) * (scale if low else 2.0 - scale)}
                 for name, low in lower.items()
             },
+            "command_s": {"decompose_s": seed * scale},
         }
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: parent_dir.append(dest))
@@ -53,6 +54,9 @@ def test_gain_needs_no_more_failures_than_parent(repo_root, tmp_path, monkeypatc
     assert record["attempted"] == {"parent": 100, "change": 100}
     assert record["fingerprint"] == {side: {"numpy": side} for side in ("parent", "change")}
     assert set(record["metrics"]) == set(lower)
+    # a timing no run reports (train_s here) is left out
+    assert record["command_s"] == {"decompose_s": {
+        "parent": list(range(1, 11)), "change": pytest.approx([0.8 * s for s in range(1, 11)])}}
     for name, low in lower.items():
         entry = record["metrics"][name]
         # seed s gives the parent 100 + s, the change 20% better
@@ -78,7 +82,7 @@ def run_canned(repo_root, tmp_path, monkeypatch, capsys, value):
 
     def fake_run(checkout, workload, seed, seconds):
         v = value(checkout in parent_dir, seed)
-        return {"failed": 0, "attempted": 10, "fingerprint": {},
+        return {"failed": 0, "attempted": 10, "fingerprint": {}, "command_s": {},
                 "metrics": {name: {"value": v if low else 1e4 / v} for name, low in lower.items()}}
 
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: parent_dir.append(dest))

@@ -390,6 +390,15 @@ def test_divergence_exit_1_with_partial_trace(workdir, capsys):
     assert Path("out/trace.csv").exists()
 
 
+def test_divergence_at_epoch_one_leaves_header_only_trace(workdir, capsys):
+    code = main(["train", "--config", "golden_config.json", "--set", "stage_lr=1e300"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: DivergenceDetected: training error became non-finite at epoch 1\n")
+    assert read("out/trace.csv") == b"stage,epoch,train_mse,validation_mse\n"
+    assert sorted(os.listdir("out")) == ["trace.csv"]
+
+
 def test_corrupt_network_length_mismatch_exit_1(workdir, capsys):
     assert main(["train", "--config", "golden_config.json"]) == 0
     payload = json.loads(read("out/network.json"))

@@ -1,7 +1,9 @@
 """The CLI's exit-code contract: whatever the CSV, config value or path,
 `main` returns 0, 1 or 2 and raises nothing; a failure ends stderr with one
-`error:` line, no temp or part file is left behind, and a run rejected with
-exit 2 writes nothing at all."""
+`error:` line, no temp or part file is left behind, a run rejected with
+exit 2 writes nothing at all, and a run that fails with exit 1 leaves only
+its command's documented partial artifacts.  `compare` gives the same exit
+code, stderr and artifacts on one lane and on two."""
 
 import contextlib
 import io
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from ssaforecast.cli import main
 from ssaforecast.config import _SCHEMA
 from ssaforecast.mlp import init_network, network_to_dict
+from test_side_by_side import set_cpus
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -82,7 +85,17 @@ def run_main(argv) -> tuple[object, str]:
     return code, err.getvalue()
 
 
-def assert_contract(code, err: str, workdir: Path, before: set) -> None:
+# the only files a command that exits 1 may write: the partial artifacts of
+# a failure after its work began, each with the errors that must leave it
+PARTIAL = {
+    "decompose": {},
+    "train": {"trace.csv": ("DivergenceDetected",)},
+    "predict": {"forecast_partial.json": ("NonFiniteOutput",)},
+    "compare": {"comparison.json": ("DivergenceDetected", "NonFiniteOutput"), "curve.csv": ()},
+}
+
+
+def assert_contract(command: str, code, err: str, workdir: Path, before: set) -> None:
     """`before`: the paths under `workdir` before the run."""
     assert code in (0, 1, 2), f"main returned or raised {code!r}; stderr: {err}"
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
@@ -93,6 +106,25 @@ def assert_contract(code, err: str, workdir: Path, before: set) -> None:
     assert not list(workdir.rglob("*.tmp")) and not list(workdir.rglob("*.tmp.part*"))
     if code == 2:
         assert set(workdir.rglob("*")) == before, err
+    if code == 1:
+        assert_partial_artifacts(command, errors[0], set(workdir.rglob("*")) - before)
+
+
+def assert_partial_artifacts(command: str, error: str, new: set) -> None:
+    """The files in `new` are the partial artifacts `error` must leave."""
+    kind, message = error.removeprefix("error: ").split(": ", 1)
+    written = {path.name: path for path in new if path.is_file()}
+    assert set(written) <= set(PARTIAL[command]), (error, sorted(written))
+    for name, kinds in PARTIAL[command].items():
+        assert name in written or kind not in kinds, (error, sorted(written))
+    if "trace.csv" in written:
+        header = written["trace.csv"].read_text().splitlines()[0]
+        assert header == "stage,epoch,train_mse,validation_mse"
+    for name in ("forecast_partial.json", "comparison.json"):
+        if name in written:
+            assert json.loads(written[name].read_text())["error"] == message, error
+    if "curve.csv" in written:  # written with the document that reports the failure
+        assert "comparison.json" in written
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,7 +141,7 @@ def test_degenerate_csv_keeps_exit_code_contract(values, command):
             Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
             before = set(workdir.rglob("*"))
             code, err = run_main([command[0], "--config", "config.json", *command[1:]])
-            assert_contract(code, err, workdir, before)
+            assert_contract(command[0], code, err, workdir, before)
         finally:
             os.chdir(cwd)
 
@@ -123,7 +155,7 @@ def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon):
                           "--network", "out/network.json", "--horizon", horizon])
     assert code == 2
     assert err == "error: ConfigError: horizon must be at least 1\n"
-    assert_contract(code, err, workdir, before)
+    assert_contract("predict", code, err, workdir, before)
 
 
 def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):
@@ -138,7 +170,7 @@ def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):
     code, err = run_main(["predict", "--config", "config.json", "--network", "network.json"])
     assert (code, err) == (1, "error: NonFiniteOutput: forecast step 1 overflows in original "
                               "units\n")
-    assert_contract(code, err, tmp_path, before)
+    assert_contract("predict", code, err, tmp_path, before)
     partial = json.loads(Path("out/forecast_partial.json").read_text())
     assert partial["partial_standardized"] == []
     assert sorted(os.listdir("out")) == ["forecast_partial.json"]
@@ -159,7 +191,7 @@ def test_compare_overflowing_forecast_rmse_exit_1(tmp_path, monkeypatch):
     assert code == 1
     assert err.splitlines()[-1] == ("error: NonFiniteOutput: seed 0: forecast RMSE overflows in "
                                     "original units")
-    assert_contract(code, err, tmp_path, before)
+    assert_contract("compare", code, err, tmp_path, before)
     document = json.loads(Path("out/comparison.json").read_text())
     assert document["error"].startswith("seed 0:") and document["per_seed"] == []
 
@@ -175,7 +207,7 @@ def test_constant_holdout_compare_exit_0(tmp_path, monkeypatch):
     code, err = run_main(["compare", "--config", "config.json", "--set", "window=10",
                           "--set", "stage_epochs=5", "--set", "compare_horizon=50"])
     assert code == 0, err
-    assert_contract(code, err, tmp_path, before)
+    assert_contract("compare", code, err, tmp_path, before)
     medians = json.loads(Path("out/comparison.json").read_text())["medians"]
     assert math.isfinite(medians["curriculum_forecast_rmse"])
 
@@ -209,7 +241,7 @@ def run_checked(workdir: Path, argv, overrides=()) -> tuple[object, str]:
     before = set(workdir.rglob("*"))
     sets = [arg for override in (*FAST, *overrides) for arg in ("--set", override)]
     code, err = run_main([*argv, *sets])
-    assert_contract(code, err, workdir, before)
+    assert_contract(argv[0], code, err, workdir, before)
     return code, err
 
 
@@ -407,3 +439,53 @@ def test_fuzzed_csv_contents_keep_exit_code_contract(command, n, header, faults,
             run_checked(workdir, golden_run(command), ["input_csv=data.csv"])
         finally:
             os.chdir(cwd)
+
+
+# -- compare on one lane and on two ------------------------------------------
+
+# training values under which a seed or the curve, in either lane, diverges
+# or overflows its forecast, and seed lists that put seeds in the worker lane
+LANE_OVERRIDES = st.tuples(
+    st.sampled_from(["stage_lr=0.05", "stage_lr=5.0", "stage_lr=1000.0", "stage_lr=1000000.0",
+                     "stage_lr=1e300"]),
+    st.sampled_from(["seeds=0", "seeds=0,1", "seeds=2,0,1", "seeds=1,1"]),
+    st.sampled_from(["compare_horizon=1", "compare_horizon=6", "compare_horizon=20"]),
+)
+
+
+def run_compare(cpus: int, values, overrides) -> tuple[object, str, dict]:
+    """Exit code, stderr and written files of compare on `cpus` lanes, in a
+    fresh directory holding `values` as data.csv."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        workdir = Path(tmp)
+        os.chdir(workdir)
+        try:
+            set_cpus(patch, cpus)
+            prepare(workdir)
+            rows = [f"{t},{v!r}" for t, v in enumerate(values)]
+            Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+            before = set(workdir.rglob("*"))
+            code, err = run_checked(workdir, golden_run("compare"),
+                                    ["input_csv=data.csv", *overrides])
+            written = {str(path.relative_to(workdir)): path.read_bytes()
+                       for path in set(workdir.rglob("*")) - before if path.is_file()}
+        finally:
+            os.chdir(cwd)
+    return code, err, written
+
+
+# a sine that trains, at an amplitude whose forecast may overflow, with
+# up to one extreme value
+LANE_SERIES = st.builds(
+    lambda n, amplitude, spikes: with_spikes(
+        [amplitude * math.sin(t / 5.0) for t in range(n)], spikes),
+    st.integers(20, 130), st.sampled_from([1.0, 1e150, 1e300]),
+    st.lists(st.tuples(st.integers(0, 129), EXTREME), max_size=1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LANE_SERIES, LANE_OVERRIDES)
+def test_fuzzed_compare_same_on_one_and_two_lanes(values, overrides):
+    assert run_compare(1, values, overrides) == run_compare(2, values, overrides)

@@ -8,6 +8,7 @@ import os
 import shutil
 import signal
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,21 @@ def test_outcomes_do_not_depend_on_lanes(monkeypatch, cpus):
     outcomes = run_side_by_side(tasks, [5, 1, 4, 2, 3, 1])
     assert outcomes[:5] == [1, 2, 4, 8, 16]
     assert isinstance(outcomes[5], ValueError) and len(outcomes) == 6
+
+
+def warn_and_return(i):
+    warnings.warn(f"task {i}")
+    return i
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_warnings_shown_in_task_order_on_any_lanes(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        outcomes = run_side_by_side([(warn_and_return, (i,)) for i in range(4)], [1, 4, 2, 3])
+    assert outcomes == [0, 1, 2, 3]
+    assert [str(w.message) for w in shown] == ["task 0", "task 1", "task 2", "task 3"]
 
 
 def test_worker_is_stopped_once_its_tasks_are_not_needed(monkeypatch):
