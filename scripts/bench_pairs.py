@@ -29,6 +29,11 @@ and quartiles, the wins and the verdict; each side's failed and attempted
 operations; and each side's toolchain fingerprint from the report of its
 first run.
 
+Each side's ``src/`` line count, the newlines in ``src/**/*.py`` as
+``wc -l`` counts them, is printed with the header and recorded under
+``src_lines``, so that the code a change deletes or adds is read next to its
+timings.
+
 Each run's median time per decompose and per train command, which the
 report of bench/run.py gives but does not gate, is printed pair by pair
 and recorded under ``command_s``, so that a change to one command shows
@@ -60,6 +65,11 @@ def export(ref: str, dest: Path) -> None:
                              check=True, capture_output=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in the checkout's src/**/*.py, the total of `wc -l`."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -101,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         parent = Path(tmp) / "parent"
         export(args.parent, parent)
         sides = {"parent": parent, "change": ROOT}
+        lines = {side: src_lines(checkout) for side, checkout in sides.items()}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -109,6 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s per run, parent {args.parent}")
+    print(f"  src/ lines: parent {lines['parent']}, change {lines['change']}")
     seeds = [args.seed + i for i in range(args.pairs)]
     failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
     attempted = {side: sum(r["attempted"] for r in results) for side, results in runs.items()}
@@ -162,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         record = {
             "workload": args.workload, "parent": args.parent, "pairs": args.pairs,
-            "seconds": seconds, "seeds": seeds, "failed": failed, "attempted": attempted,
+            "seconds": seconds, "seeds": seeds, "src_lines": lines, "failed": failed,
+            "attempted": attempted,
             "fingerprint": {side: results[0]["fingerprint"] for side, results in runs.items()},
             "metrics": summary, "command_s": command_s,
         }

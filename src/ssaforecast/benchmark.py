@@ -11,7 +11,7 @@ from .rng import SplitMix64
 # the noise's generator stream.  This does not keep it apart from the other
 # draws of a seed: stream k is stream 0 advanced by k draws, so the noise
 # reuses the draws init_network and split_validation take from stream 0 of
-# the same seed, from the eighth on (ROADMAP item 2)
+# the same seed, from the eighth on (ROADMAP item 3)
 _NOISE_STREAM = 7
 # the periods (in samples) and amplitudes of the two sinusoids, and the
 # noise's standard deviation

@@ -218,11 +218,11 @@ def _compare_seed(
                            pin_split=True)
     base = curriculum_train(std, None, embedding, (None,), hidden,
                             replace(params, epochs=cur.total_epochs), seed, fraction)
-    cur_rmse, base_rmse = (
-        math.sqrt(mse(forecast_series(run.final_state.network, std, holdout.size).predictions,
-                      holdout))
-        for run in (cur, base)
-    )
+    forecasts = [forecast_series(run.final_state.network, std, holdout.size).predictions
+                 for run in (cur, base)]
+    # an overflow is reported below, not warned about
+    with np.errstate(over="ignore"):
+        cur_rmse, base_rmse = (math.sqrt(mse(f, holdout)) for f in forecasts)
     if not math.isfinite(cur_rmse + base_rmse):  # the sum of squared errors overflowed
         raise NonFiniteOutput(f"seed {seed}: forecast RMSE overflows in original units")
     return SeedComparison(

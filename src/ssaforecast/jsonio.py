@@ -2,13 +2,15 @@
 digits ("%.17g", lossless for doubles) and non-finite values are refused, so
 identical runs produce byte-identical artifacts.
 
-A float array, in a CSV file or in JSON, is checked for finiteness in one
-call and formatted by one vectorized routine, `_float_text`, a block of cells
-at a time; it writes the bytes "%.17g" writes.  Other CSV rows are formatted
-by one "%" template made from their cell types.  Each file is streamed to a
-temp file ``<name>.<pid>.<n>.tmp`` next to the target, unique to the writer,
-which replaces the target once complete and is removed on any error: the
-target is always either the old file or the complete new one.
+One scalar rule, `_scalar_text`, turns a bool, integer or float into text,
+for JSON and for each cell of a CSV row alike; any other CSV cell is written
+as str() gives it.  A float array, in a CSV file or in JSON, is checked for
+finiteness in one call and formatted by one vectorized routine,
+`_float_text`, a block of cells at a time; it writes the bytes "%.17g"
+writes.  Each file is streamed to a temp file ``<name>.<pid>.<n>.tmp`` next
+to the target, unique to the writer, which replaces the target once complete
+and is removed on any error: the target is always either the old file or the
+complete new one.
 
 A 2-D float array of at least `_LANE_CELLS` cells is formatted on one lane
 per CPU (`lanes.run_side_by_side`) once it has passed the finiteness check.
@@ -57,6 +59,20 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise _non_finite(x)
     return "%.17g" % x
+
+
+def _scalar_text(x) -> str | None:
+    """The text of a bool, integer or float, never empty; None for any other
+    value."""
+    # floats, the commonest cells, first; bools before integers, as a bool
+    # is an int
+    if isinstance(x, (float, np.floating)):
+        return format_float(float(x))
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return None
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -253,12 +269,9 @@ def _render_floats(values: np.ndarray, level: int) -> str:
 def _render(obj, level: int) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    text = _scalar_text(obj)
+    if text is not None:
+        return text
     if isinstance(obj, str):
         # every control character escaped, every other character as is
         return json.dumps(obj, ensure_ascii=False)
@@ -309,28 +322,6 @@ def write_json(path, obj) -> None:
         fh.write(text)
 
 
-def _row_format(types: tuple[type, ...]) -> tuple[str, list[int], list[int]]:
-    """(template, float positions, bool positions) for rows with these cell
-    types; a bool takes a "%s" slot and is passed in as "true" or "false"."""
-    slots, floats, bools = [], [], []
-    for i, kind in enumerate(types):
-        if issubclass(kind, (bool, np.bool_)):
-            bools.append(i)
-            slots.append("%s")
-        elif issubclass(kind, (int, np.integer)):
-            slots.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            floats.append(i)
-            slots.append("%.17g")
-        else:
-            slots.append("%s")
-    return ",".join(slots) + "\n", floats, bools
-
-
-def _is_float_matrix(rows) -> bool:
-    return isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"
-
-
 def _float_blocks(rows: np.ndarray):
     """The CSV text of a finite 2-D float array, a block of rows of at most
     `_BLOCK_CELLS` cells (or one row) at a time."""
@@ -342,31 +333,11 @@ def _float_blocks(rows: np.ndarray):
         yield _float_text(rows[start : start + step])
 
 
-def _csv_blocks(rows):
-    """The CSV text of `rows`, a block of rows at a time."""
-    if _is_float_matrix(rows):
-        _require_finite(rows)
-        yield from _float_blocks(rows)
-        return
-    formats = {}
+def _row_blocks(rows):
+    """The CSV text of rows of cells, `_BLOCK_ROWS` rows at a time."""
     lines = []
-    isfinite = math.isfinite
     for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        spec = formats.get(types)
-        if spec is None:
-            spec = formats[types] = _row_format(types)
-        template, floats, bools = spec
-        for i in floats:
-            if not isfinite(row[i]):
-                raise _non_finite(float(row[i]))
-        if bools:
-            row = tuple(
-                ("true" if cell else "false") if i in bools else cell
-                for i, cell in enumerate(row)
-            )
-        lines.append(template % row)
+        lines.append(",".join([_scalar_text(cell) or str(cell) for cell in row]) + "\n")
         if len(lines) == _BLOCK_ROWS:
             yield "".join(lines)
             lines = []
@@ -416,8 +387,11 @@ def write_csv(path, header: list[str], rows) -> None:
     float array) as comma-separated lines."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        if _is_float_matrix(rows) and rows.size >= _LANE_CELLS and lane_count() > 1:
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
             _require_finite(rows)
-            _write_lanes(fh, rows)
+            if rows.size >= _LANE_CELLS and lane_count() > 1:
+                _write_lanes(fh, rows)
+            else:
+                _write_rows(fh, rows)
         else:
-            fh.writelines(_csv_blocks(rows))
+            fh.writelines(_row_blocks(rows))

@@ -159,14 +159,6 @@ def forward_batch(net: Network, batch: Batch) -> np.ndarray:
     return _forward(net, batch)
 
 
-def forward(net: Network, inputs) -> float:
-    """Prediction for a single length-m input."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise DimensionMismatch(f"input shape {x.shape} incompatible with input_dim {net.input_dim}")
-    return float(forward_batch(net, Batch(x[None, :], None, net.hidden_dim))[0])
-
-
 def mse(predictions, targets) -> float:
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)

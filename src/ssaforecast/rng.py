@@ -41,7 +41,7 @@ class SplitMix64:
     """Seeded counter-based generator.  ``stream`` offsets the start: for
     the same seed, stream k's draws are stream 0's from draw k + 1 on, so
     distinct streams overlap rather than being independent (ROADMAP
-    item 2)."""
+    item 3)."""
 
     def __init__(self, seed: int, stream: int = 0):
         self._state = (_mix64(seed & _MASK64) + (stream & _MASK64) * _PHI) & _MASK64

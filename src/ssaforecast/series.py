@@ -135,12 +135,7 @@ def standardize(raw) -> StandardizedSeries:
 
 def destandardize(values, mean: float, scale: float) -> np.ndarray:
     """Inverse of standardize: y = scale * x + mean, elementwise."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
-    return scale * arr + mean
+    return scale * np.asarray(values, dtype=np.float64) + mean
 
 
 def check_embedding_size(m: int, n: int, pairs: int = 1) -> None:

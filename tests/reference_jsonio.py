@@ -4,8 +4,8 @@ before it is written, and every array rendered element by element.
 
 The functions below are that module verbatim, renamed with a ``reference_``
 prefix and made to call one another, so tests can check that the streaming
-serializer, with its vectorized "%.17g" for float arrays and its per-row
-templates for other rows, writes the same bytes.
+serializer, with its vectorized "%.17g" for float arrays and one scalar rule
+for JSON scalars and the cells of other CSV rows, writes the same bytes.
 """
 
 import json

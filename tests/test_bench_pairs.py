@@ -1,7 +1,9 @@
-"""scripts/bench_pairs.py's verdict, on canned runs in place of bench/run.py."""
+"""scripts/bench_pairs.py's verdict and record, on canned runs in place of
+bench/run.py."""
 
 import importlib.util
 import json
+import subprocess
 
 import pytest
 
@@ -122,3 +124,35 @@ def test_unresolved_unless_every_change_run_is_better(repo_root, tmp_path, monke
         lambda is_parent, seed: (150.0 if seed % 2 else 50.0) if is_parent else change(seed))
     assert verdicts == [verdict] * len(lower)
     assert [m["verdict"] for m in record["metrics"].values()] == [verdict] * len(lower)
+
+
+def test_src_line_counts_match_wc(repo_root, tmp_path, monkeypatch, capsys):
+    bench_pairs = load_script(repo_root)
+
+    def fake_export(ref, dest):
+        # 3 + 2 newlines in .py files, one without a final newline; the
+        # .txt file and the .py file outside src/ are not counted
+        (dest / "src" / "pkg" / "sub").mkdir(parents=True)
+        (dest / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+        (dest / "src" / "pkg" / "sub" / "b.py").write_text("z = 3\n\nw = 4")
+        (dest / "src" / "pkg" / "notes.txt").write_text("1\n2\n3\n")
+        (dest / "setup.py").write_text("\n" * 7)
+
+    spec = json.loads((repo_root / "BENCHMARK.json").read_text())
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"failed": 0, "attempted": 1, "fingerprint": {}, "command_s": {},
+                "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "--workload", "w", "--pairs", "2", "--seconds", "1",
+                             "--json", str(out)]) == 0
+    sources = sorted((repo_root / "src").rglob("*.py"))
+    wc = subprocess.run(["wc", "-l", *map(str, sources)], capture_output=True, text=True,
+                        check=True).stdout.splitlines()[-1].split()
+    assert wc[1] == "total"
+    lines = {"parent": 5, "change": int(wc[0])}
+    assert json.loads(out.read_text())["src_lines"] == lines
+    assert f"  src/ lines: parent 5, change {wc[0]}\n" in capsys.readouterr().out

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from ssaforecast.cli import main
-from ssaforecast.mlp import forward, init_network, network_from_dict, network_to_dict
+from ssaforecast.mlp import init_network, network_from_dict, network_to_dict
 from ssaforecast.series import load_csv, standardize
+from test_mlp import one_step
 
 
 def read(path) -> bytes:
@@ -264,7 +265,7 @@ def test_predict_horizon_one_matches_one_step(workdir):
     net = network_from_dict(json.loads(read("out/network.json")))
     raw = load_csv("tiny_series.csv", "value", "time")
     std = standardize(raw)
-    expected = forward(net, std.values[-4:]) * std.scale + std.mean
+    expected = one_step(net, std.values[-4:]) * std.scale + std.mean
     assert predicted == pytest.approx(expected, rel=1e-12)
 
 

@@ -176,21 +176,32 @@ def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):
     assert sorted(os.listdir("out")) == ["forecast_partial.json"]
 
 
-def test_compare_overflowing_forecast_rmse_exit_1(tmp_path, monkeypatch):
-    # the training part's variance is finite, but the held-out part lies so
-    # far below it that the sum of squared forecast errors overflows
+# config changes and series of a compare whose forecast RMSE overflows: the
+# training part's variance is finite, but the held-out part lies so far
+# below it that the sum of squared forecast errors overflows; or forecasts
+# near 1e150 whose one squared error overflows
+AMPLITUDE = math.sqrt(0.97 * 1.797e308 / 275)
+RMSE_OVERFLOWS = {
+    "far-holdout": ({"compare_horizon": 50},
+                    [AMPLITUDE * math.sin(2.0 * math.pi * t / 12.0) if t < 150 else -2.0 * AMPLITUDE
+                     for t in range(200)]),
+    "squared-error": ({"window": 6, "embedding": 3, "hidden_units": 4, "stage_epochs": 5,
+                       "stage_lr": 1000.0, "compare_horizon": 1},
+                      [1e150 * math.sin(t / 3) for t in range(60)]),
+}
+
+
+@pytest.mark.parametrize("changes, values", RMSE_OVERFLOWS.values(), ids=RMSE_OVERFLOWS)
+def test_compare_overflowing_forecast_rmse_exit_1(tmp_path, monkeypatch, changes, values):
+    # the overflow is the error reported, with no numpy warning before it
     monkeypatch.chdir(tmp_path)
-    Path("config.json").write_text(json.dumps({**CONFIG, "compare_horizon": 50}))
-    amplitude = math.sqrt(0.97 * 1.797e308 / 275)
-    values = [amplitude * math.sin(2.0 * math.pi * t / 12.0) if t < 150 else -2.0 * amplitude
-              for t in range(200)]
+    Path("config.json").write_text(json.dumps({**CONFIG, **changes}))
     rows = [f"{t},{v!r}" for t, v in enumerate(values)]
     Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
     before = set(tmp_path.rglob("*"))
     code, err = run_main(["compare", "--config", "config.json"])
-    assert code == 1
-    assert err.splitlines()[-1] == ("error: NonFiniteOutput: seed 0: forecast RMSE overflows in "
-                                    "original units")
+    assert (code, err) == (1, "error: NonFiniteOutput: seed 0: forecast RMSE overflows in "
+                              "original units\n")
     assert_contract("compare", code, err, tmp_path, before)
     document = json.loads(Path("out/comparison.json").read_text())
     assert document["error"].startswith("seed 0:") and document["per_seed"] == []

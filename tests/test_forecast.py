@@ -3,9 +3,10 @@ import pytest
 
 from ssaforecast.errors import ConfigError, DimensionMismatch, NonFiniteOutput
 from ssaforecast.forecast import forecast_series, multi_step_predict
-from ssaforecast.mlp import Network, forward, init_network, train
+from ssaforecast.mlp import Network, init_network, train
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import build_embedding, split_validation, standardize
+from test_mlp import one_step
 
 
 def linear_net(coeffs, gain=1.0, eps=1e-8):
@@ -25,13 +26,13 @@ def linear_net(coeffs, gain=1.0, eps=1e-8):
 
 def test_one_step_zero_network():
     net = Network(np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2)), np.zeros(1))
-    assert forward(net, np.array([5.0, -1.0, 2.0])) == 0.0
+    assert one_step(net, np.array([5.0, -1.0, 2.0])) == 0.0
 
 
 def test_constructed_copy_net_hits_last_element():
     net = linear_net([0.0, 0.0, 1.0])
     w = np.array([0.3, -0.5, 0.8])
-    assert abs(forward(net, w) - 0.8) < 1e-6
+    assert abs(one_step(net, w) - 0.8) < 1e-6
 
 
 def test_trained_copy_net_approximates_last_element():
@@ -42,7 +43,7 @@ def test_trained_copy_net_approximates_last_element():
     state, _ = train(init_network(3, 8, seed=2), pairs, split, epochs=5000, lr=0.1, momentum=0.9,
                      patience=None)
     w = np.array([0.3, -0.5, 0.8])
-    assert abs(forward(state.network, w) - 0.8) < 1e-2
+    assert abs(one_step(state.network, w) - 0.8) < 1e-2
 
 
 # -- multi_step_predict --------------------------------------------------------
@@ -50,7 +51,7 @@ def test_trained_copy_net_approximates_last_element():
 def test_horizon_one_equals_one_step():
     net = init_network(3, 5, seed=9)
     w = SplitMix64(4).normals(3)
-    assert multi_step_predict(net, w, 1)[0] == forward(net, w)
+    assert multi_step_predict(net, w, 1)[0] == one_step(net, w)
 
 
 def test_contraction_halves_each_step():

@@ -24,7 +24,9 @@ text = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
 cells = st.one_of(
     doubles,
     doubles.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
     st.integers(-(10**20), 10**20),
     st.booleans(),
     st.booleans().map(np.bool_),

@@ -15,7 +15,6 @@ from ssaforecast.mlp import (
     Batch,
     Network,
     backprop_gradient,
-    forward,
     forward_batch,
     gd_step,
     init_network,
@@ -30,6 +29,11 @@ from ssaforecast.series import build_embedding, split_validation
 
 def zero_network(m=1, h=1):
     return Network(np.zeros((h, m)), np.zeros(h), np.zeros((1, h)), np.zeros(1))
+
+
+def one_step(net, x) -> float:
+    """The prediction for one input: forward_batch on a one-row Batch."""
+    return float(forward_batch(net, Batch([x], None, net.hidden_dim))[0])
 
 
 def random_network(m, h, seed, scale=1.0):
@@ -93,13 +97,13 @@ def test_init_bad_dimensions():
 
 def test_forward_zero_network():
     net = zero_network(4, 3)
-    assert forward(net, np.ones(4)) == 0.0
+    assert one_step(net, np.ones(4)) == 0.0
 
 
 def test_forward_is_tanh_for_unit_scalar_net():
     net = Network(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1))
-    assert forward(net, [0.5]) == pytest.approx(0.46211715726000974, abs=1e-12)
-    assert forward(net, [0.0]) == 0.0
+    assert one_step(net, [0.5]) == pytest.approx(0.46211715726000974, abs=1e-12)
+    assert one_step(net, [0.0]) == 0.0
 
 
 def test_forward_output_layer_affine():
@@ -108,13 +112,13 @@ def test_forward_output_layer_affine():
         net.hidden_weights, net.hidden_biases, 2.0 * net.output_weights, 2.0 * net.output_bias
     )
     x = np.array([0.3, -0.2, 0.9])
-    assert forward(doubled, x) == pytest.approx(2.0 * forward(net, x), rel=1e-12)
+    assert one_step(doubled, x) == pytest.approx(2.0 * one_step(net, x), rel=1e-12)
 
 
 def test_forward_dimension_mismatch():
     net = zero_network(3, 2)
     with pytest.raises(DimensionMismatch):
-        forward(net, np.ones(4))
+        one_step(net, np.ones(4))
     with pytest.raises(DimensionMismatch):
         forward_batch(net, Batch(np.ones((5, 4)), None, 2))
 
@@ -196,7 +200,7 @@ def test_output_bias_gradient_single_sample():
     net = random_network(2, 3, seed=9, scale=0.3)
     x = np.array([[0.4, -0.7]])
     t = np.array([0.2])
-    a = forward(net, x[0])
+    a = one_step(net, x[0])
     _, grad = backprop_gradient(net, Batch(x, t, 3))
     # the output bias is the last entry of the flat layout
     assert grad[-1] == pytest.approx(2.0 * (a - t[0]), rel=1e-12)
