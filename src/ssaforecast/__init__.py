@@ -10,7 +10,7 @@ from .curriculum import (
     stage_counts,
 )
 from .forecast import ForecastResult, forecast_series, multi_step_predict
-from .mlp import Batch, Network, backprop_gradient, gd_step, init_network, mse, train
+from .mlp import Batch, Network, backprop_gradient, forward_batch, gd_step, init_network, mse, train
 from .series import (
     RawSeries,
     StandardizedSeries,

@@ -203,22 +203,20 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
 def cmd_compare(config: RunConfig, echo: dict) -> int:
     raw = _load_series(config, pairs=1)
     out = Path(config.output_dir)
-    params = _stage_params(config)
-    # a failure in the curve or a seed still writes this document, with an
-    # "error" field and whatever finished before it ("curve" stays null if the
-    # curve itself failed)
-    document = {
-        "curve": None,
-        "compare_horizon": config.compare_horizon,
-        "per_seed": [],
-        "medians": {},
-        "paired": {},
-        "config_echo": echo,
-    }
-
-    def write_curve(curve: cur.PcCurve | None) -> None:
-        if curve is None:
-            return
+    failure = None
+    try:
+        comparison = cur.compare_curriculum_baseline(
+            raw.values, config.window, config.embedding, config.hidden_units,
+            _stage_params(config), config.pc_step, config.seeds, config.compare_horizon,
+            config.validation_fraction,
+        )
+    except RuntimeFailure as exc:
+        if not hasattr(exc, "completed"):  # failed before any training
+            raise
+        # reported as far as it got: the curve, if it finished, and the seeds before it
+        comparison, failure = exc.completed, exc
+    curve = comparison.curve
+    if curve is not None:
         write_csv(
             out / "curve.csv",
             ["p", "train_mse", "validation_mse", "baseline_mse"],
@@ -227,38 +225,31 @@ def cmd_compare(config: RunConfig, echo: dict) -> int:
                 for pt in curve.points
             ),
         )
-        document["curve"] = {
+    # a failed run has no medians or paired results
+    metrics = () if failure is not None else ("validation_mse", "forecast_rmse")
+    medians = {
+        f"{arm}_{metric}": comparison.median(f"{arm}_{metric}")
+        for metric in metrics
+        for arm in ("curriculum", "baseline")
+    }
+    document = {
+        "curve": None if curve is None else {
             "curriculum_epochs": curve.curriculum_epochs,
             "baseline_epochs": curve.baseline_epochs,
             "baseline_train_mse": curve.baseline_train_mse,
             "baseline_validation_mse": curve.baseline_validation_mse,
-        }
-
-    try:
-        comparison = cur.compare_curriculum_baseline(
-            raw.values, config.window, config.embedding, config.hidden_units, params,
-            config.pc_step, config.seeds, config.compare_horizon, config.validation_fraction,
-        )
-    except RuntimeFailure as exc:
-        if not hasattr(exc, "completed_seeds"):  # failed before any training
-            raise
-        write_curve(exc.curve)
-        document["per_seed"] = [asdict(r) for r in exc.completed_seeds]
-        document["error"] = str(exc)
-        write_json(out / "comparison.json", document)
-        raise
-    write_curve(comparison.curve)
-    document["per_seed"] = [asdict(r) for r in comparison.per_seed]
-    medians = {
-        f"{arm}_{metric}": comparison.median(f"{arm}_{metric}")
-        for metric in ("validation_mse", "forecast_rmse")
-        for arm in ("curriculum", "baseline")
+        },
+        "compare_horizon": config.compare_horizon,
+        "per_seed": [asdict(r) for r in comparison.per_seed],
+        "medians": medians,
+        "paired": {metric: comparison.paired(metric) for metric in metrics},
+        "config_echo": echo,
     }
-    document["medians"] = medians
-    document["paired"] = {
-        metric: comparison.paired(metric) for metric in ("validation_mse", "forecast_rmse")
-    }
+    if failure is not None:
+        document["error"] = str(failure)
     write_json(out / "comparison.json", document)
+    if failure is not None:
+        raise failure
     print(
         "medians: curriculum_val={curriculum_validation_mse:.6g} "
         "baseline_val={baseline_validation_mse:.6g} "

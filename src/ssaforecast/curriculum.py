@@ -261,9 +261,9 @@ def compare_curriculum_baseline(
     first seed) is returned as `curve`.  The curve and the seeds are
     independent tasks and run side by side (`run_side_by_side`); the results
     do not depend on the number of lanes.  A failure is raised as the serial
-    run (curve, then seeds in order) meets it first, carrying
-    `completed_seeds` (the seeds before it) and `curve` (None unless the
-    curve finished).
+    run (curve, then seeds in order) meets it first, carrying `completed`:
+    the ComparisonResult of the seeds before it, with `curve` None unless
+    the curve finished.
     """
     values = np.asarray(values, dtype=np.float64)
     curve_series = standardize(values)
@@ -290,10 +290,9 @@ def compare_curriculum_baseline(
     # baseline, or both arms of a seed
     costs = [2 * (window - 1) * params.epochs] + [2 * len(counts) * params.epochs] * len(seeds)
     outcomes = run_side_by_side(tasks, costs)
-    if isinstance(outcomes[-1], Exception):
-        failure = outcomes.pop()
-        # callers can still report the curve and every seed before it
-        failure.curve = outcomes[0] if outcomes else None
-        failure.completed_seeds = tuple(outcomes[1:])
+    failure = outcomes.pop() if isinstance(outcomes[-1], Exception) else None
+    result = ComparisonResult(tuple(outcomes[1:]), outcomes[0] if outcomes else None)
+    if failure is not None:
+        failure.completed = result
         raise failure
-    return ComparisonResult(per_seed=tuple(outcomes[1:]), curve=outcomes[0])
+    return result

@@ -4,9 +4,9 @@ identical runs produce byte-identical artifacts.
 
 One scalar rule, `_scalar_text`, turns a bool, integer or float into text,
 for JSON and for each cell of a CSV row alike; any other CSV cell is written
-as str() gives it.  A float array, in a CSV file or in JSON, is checked for
-finiteness in one call and formatted by one vectorized routine,
-`_float_text`, a block of cells at a time; it writes the bytes "%.17g"
+as str() gives it.  A float array, in a CSV file or in JSON, is cast to
+float64 and checked for finiteness once, then formatted by one vectorized
+routine, `_float_text`, a block of cells at a time, into the bytes "%.17g"
 writes.  Each file is streamed to a temp file ``<name>.<pid>.<n>.tmp`` next
 to the target, unique to the writer, which replaces the target once complete
 and is removed on any error: the target is always either the old file or the
@@ -75,11 +75,16 @@ def _scalar_text(x) -> str | None:
     return None
 
 
-def _require_finite(values: np.ndarray) -> None:
-    """Raise for the first non-finite entry in row-major order, if any."""
+def _finite_float64(values: np.ndarray) -> np.ndarray:
+    """A float array as float64 (itself if it is float64); raise for the
+    first non-finite entry in row-major order, if any.  A longdouble beyond
+    float64's range becomes inf here, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         raise _non_finite(float(values[~finite][0]))
+    return values
 
 
 # -- "%.17g" of a float array ---------------------------------------------------
@@ -211,10 +216,10 @@ def _cells(a, negative) -> np.ndarray:
 
 
 def _float_text(values: np.ndarray) -> str:
-    """The CSV lines of a finite 2-D float array with at least one column:
+    """The CSV lines of a finite 2-D float64 array with at least one column:
     each cell's "%.17g" text, followed by "," or, after a row's last
     cell, by a newline."""
-    x = np.asarray(values, dtype=np.float64).ravel()
+    x = values.ravel()
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e17)
     # the other cells get a value in range, and are overwritten below
@@ -223,7 +228,6 @@ def _float_text(values: np.ndarray) -> str:
     slow = np.flatnonzero(~fast)
     if slow.size:
         rest = x[slow]
-        _require_finite(rest)  # a float128 can overflow the cast
         # at most 24 characters each, so padded to 24 they fill three words
         text = ("%-24.17g" * rest.size % tuple(rest.tolist())).encode("ascii")
         words[slow, :3] = np.frombuffer(text.replace(b" ", b"\0"), _WORD).reshape(-1, 3)
@@ -277,9 +281,7 @@ def _render(obj, level: int) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            values = np.asarray(obj, dtype=np.float64)
-            _require_finite(values)
-            return _render_floats(values, level)
+            return _render_floats(_finite_float64(obj), level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return _bracket([_render(v, level + 1) for v in obj], level, "[", "]")
@@ -388,7 +390,7 @@ def write_csv(path, header: list[str], rows) -> None:
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            _require_finite(rows)
+            rows = _finite_float64(rows)
             if rows.size >= _LANE_CELLS and lane_count() > 1:
                 _write_lanes(fh, rows)
             else:

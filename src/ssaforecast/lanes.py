@@ -134,7 +134,7 @@ def run_side_by_side(tasks, costs) -> list:
 
     Lane 0 runs in this process; every other lane runs in one forked worker,
     which inherits the tasks, so nothing but outcomes and warnings is
-    pickled.  One lane (one CPU, one task, or no fork) is the serial run.  A
+    pickled.  One lane (one CPU or one task) is the serial run.  A
     task's exception, whatever its type, is its outcome, so failures do not
     depend on the lane a task ran in.  A worker whose tasks all come after a
     failure is stopped early.
@@ -146,10 +146,8 @@ def run_side_by_side(tasks, costs) -> list:
         if len(lanes) > 1:
             import multiprocessing
 
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            else:
-                lanes = assign_lanes(costs, 1)
+            # more than one lane needs os.sched_getaffinity, found only where fork is
+            context = multiprocessing.get_context("fork")
             for lane in lanes[1:]:
                 reader, writer = context.Pipe(duplex=False)
                 proc = context.Process(target=_lane_worker, args=(tasks, lane, writer))

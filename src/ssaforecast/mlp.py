@@ -325,28 +325,22 @@ def network_to_dict(net: Network) -> dict:
 def network_from_dict(payload: dict) -> Network:
     """Rebuild a network from its serialized form.
 
-    Declared dimensions that disagree with the stored arrays, and non-finite
-    stored values, raise LengthMismatch (a corrupt artifact, not a
-    configuration problem).
+    A payload `network_to_dict` would not write raises LengthMismatch (a
+    corrupt artifact, not a configuration problem): another format version
+    or activation, dimensions that are not integers equal to the stored
+    arrays' shape, non-finite values, or a missing or malformed field.
     """
     try:
-        m = int(payload["input_dim"])
-        h = int(payload["hidden_dim"])
-        hw = np.asarray(payload["hidden_weights"], dtype=np.float64)
-        hb = np.asarray(payload["hidden_biases"], dtype=np.float64)
-        ow = np.asarray(payload["output_weights"], dtype=np.float64)
-        ob = np.asarray(payload["output_bias"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        version, h, m = (payload[key] for key in ("format_version", "hidden_dim", "input_dim"))
+        if not all(type(v) is int for v in (version, h, m)):
+            raise TypeError("format_version, hidden_dim and input_dim must be integers")
+        names = payload["hidden_activation"], payload["output_activation"]
+        if (version, *names) != (NETWORK_FORMAT_VERSION, HIDDEN_ACTIVATION, OUTPUT_ACTIVATION):
+            raise ValueError(f"unsupported format version {version} or activations {names}")
+        net = Network(*(payload[name] for name in _ARRAYS))
+        if net.hidden_weights.shape != (h, m):
+            raise ValueError(f"stored arrays of m={net.input_dim}, H={net.hidden_dim} disagree "
+                             f"with declared dims m={m}, H={h}")
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise LengthMismatch(f"network payload malformed: {exc}") from None
-    if payload.get("hidden_activation") != HIDDEN_ACTIVATION or (
-        payload.get("output_activation") != OUTPUT_ACTIVATION
-    ):
-        raise LengthMismatch("unsupported activation names in network payload")
-    if hw.shape != (h, m) or hb.shape != (h,) or ow.shape != (1, h) or ob.shape != (1,):
-        raise LengthMismatch(
-            f"stored arrays {hw.shape}/{hb.shape}/{ow.shape}/{ob.shape} disagree with "
-            f"declared dims m={m}, H={h}"
-        )
-    if not all(np.isfinite(a).all() for a in (hw, hb, ow, ob)):
-        raise LengthMismatch("stored network parameters must be finite")
-    return Network(hw, hb, ow, ob)
+    return net

@@ -281,4 +281,4 @@ def test_comparison_failure_carries_completed_seeds():
         compare_curriculum_baseline(
             values, 12, 5, 6, StageParams(40, 1e6, 0.0), 4, seeds=[0, 1], horizon=30
         )
-    assert err.value.completed_seeds == ()
+    assert err.value.completed.per_seed == ()

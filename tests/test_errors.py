@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from ssaforecast import errors
+from ssaforecast.curriculum import ComparisonResult, SeedComparison
 from ssaforecast.mlp import TraceEntry
 
 PUBLIC_ERRORS = sorted(
@@ -27,13 +28,13 @@ def test_error_survives_pickle(cls):
     exc = cls(*ARGS.get(cls, ("something went wrong",)))
     # what compare attaches before raising an error from one of its tasks
     exc.stage_traces = ((TraceEntry(1, 0.5, 0.25),),)
-    exc.completed_seeds = (4, 5)
+    exc.completed = ComparisonResult((SeedComparison(4, 0.5, 0.25, 1.5, 2.0, 10, 10),), None)
     copy = pickle.loads(pickle.dumps(exc))
     assert type(copy) is cls
     assert str(copy) == str(exc)
     assert copy.args == exc.args
     assert vars(copy) == vars(exc)
-    for name in ("trace", "partial", "stage_traces", "completed_seeds"):
+    for name in ("trace", "partial", "stage_traces", "completed"):
         assert getattr(copy, name, None) == getattr(exc, name, None)
 
 

@@ -1,8 +1,8 @@
-"""The CLI's exit-code contract: whatever the CSV, config value or path,
-`main` returns 0, 1 or 2 and raises nothing; a failure ends stderr with one
-`error:` line, no temp or part file is left behind, a run rejected with
-exit 2 writes nothing at all, and a run that fails with exit 1 leaves only
-its command's documented partial artifacts.  `compare` gives the same exit
+"""The CLI's exit-code contract: whatever the CSV, config value, network file
+or path, `main` returns 0, 1 or 2 and raises nothing; a failure ends stderr
+with one `error:` line, no temp or part file is left behind, a run rejected
+with exit 2 writes nothing at all, and a run that fails with exit 1 leaves
+only its command's documented partial artifacts.  `compare` gives the same exit
 code, stderr and artifacts on one lane and on two."""
 
 import contextlib
@@ -319,6 +319,15 @@ NON_FINITE = ("stage_lr=nan", "stage_lr=inf", "stage_momentum=-inf", "validation
                  id="csv-not-utf8"),
     pytest.param(golden_run("decompose"), ["output_dir=afile"], 1, "FileExistsError: ",
                  id="output-dir-is-a-file"),
+    pytest.param(["decompose", "--config", "empty.json"], [], 2,
+                 "ConfigError: config key 'input_csv' is required for this command",
+                 id="config-without-input-csv"),
+    pytest.param(["decompose", "--config", "array.json"], [], 2,
+                 "ConfigError: config file must contain a JSON object", id="config-array"),
+    pytest.param(golden_run("decompose"), ["input_csv=afile"], 1,
+                 "ParseError: row 0, column 'value': file has no header row", id="csv-empty"),
+    pytest.param(["predict", "--config", "golden_config.json"], [], 2,
+                 "ConfigError: predict requires --network", id="network-missing-flag"),
     pytest.param(["predict", "--config", "golden_config.json", "--network", "adir"], [], 2,
                  "ConfigError: cannot read network file adir: ", id="network-directory"),
     pytest.param(["predict", "--config", "golden_config.json", "--network", "latin1.csv"], [], 1,
@@ -361,6 +370,8 @@ def test_unreadable_file_or_non_finite_key_keeps_contract(tmp_path, monkeypatch,
     Path("inf.json").write_text('{"input_csv": "tiny_series.csv", "validation_fraction": Infinity}')
     Path("nul.json").write_text('{"input_csv": "tiny_series\\u0000.csv"}')
     Path("surrogate.json").write_text('{"input_csv": "x\\ud800.csv"}')
+    Path("empty.json").write_text("{}")
+    Path("array.json").write_text("[]")
     got, err = run_checked(tmp_path, argv, overrides)
     assert got == code
     assert err.startswith(f"error: {error}"), err
@@ -405,6 +416,44 @@ def test_fuzzed_overrides_keep_exit_code_contract(command, overrides):
         try:
             prepare(workdir)
             run_checked(workdir, golden_run(command), overrides)
+        finally:
+            os.chdir(cwd)
+
+
+# -- network file contents ---------------------------------------------------
+
+# what may stand in a field of a network file: any JSON value, small or deeply
+# nested, and values an integer field must not take
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2, 3, 2.0, 4.9, "2", math.inf, 10**400, -1, 0, 1, [], [[]]]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=12,
+)
+DELETED = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(NETWORK)), st.just(DELETED) | JSON_VALUES)
+def test_fuzzed_network_file_keeps_exit_code_contract(key, value):
+    # predict with one field of a valid network file replaced, or deleted
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        os.chdir(workdir)
+        try:
+            network = {k: v for k, v in NETWORK.items() if k != key or value is not DELETED}
+            if value is not DELETED:
+                network[key] = value
+            Path("config.json").write_text(json.dumps(CONFIG))
+            Path("network.json").write_text(json.dumps(network))
+            rows = [f"{t},{math.sin(t / 3.0)!r}" for t in range(40)]
+            Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+            before = set(workdir.rglob("*"))
+            code, err = run_main(["predict", "--config", "config.json", "--network",
+                                  "network.json"])
+            assert_contract("predict", code, err, workdir, before)
         finally:
             os.chdir(cwd)
 

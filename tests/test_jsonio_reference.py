@@ -5,6 +5,7 @@ while leaving neither the target nor a temp or part file behind."""
 
 import itertools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ def test_non_finite_json_fails_like_the_reference_and_keeps_the_old_file(tmp_pat
         write_json(target, doc(bad))
     assert str(got.value) == str(want.value)
     assert os.listdir(tmp_path) == ["out.json"] and target.read_text() == "old\n"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="longdouble is float64 here")
+@pytest.mark.parametrize("write", ["csv", "json"])
+def test_longdouble_beyond_float64_fails_without_a_warning(tmp_path, write):
+    # cast to float64 once, the cell becomes inf and is refused, with no
+    # numpy overflow warning first
+    matrix = np.ones((2, 3), dtype=np.longdouble)
+    matrix[1, 2] = np.longdouble("1e400")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^refusing to serialize non-finite value inf$"):
+            if write == "csv":
+                write_csv(tmp_path / "out.csv", ["a", "b", "c"], matrix)
+            else:
+                write_json(tmp_path / "out.json", {"m": matrix})
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_stream_keeps_the_old_file(tmp_path):

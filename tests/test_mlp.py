@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import numpy as np
@@ -477,9 +478,20 @@ def test_network_round_trip():
     np.testing.assert_array_equal(back.output_bias, net.output_bias)
 
 
-def test_network_from_dict_rejects_inconsistent_arrays():
+@pytest.mark.parametrize("key, text", [
+    ("hidden_biases", "[0, 0, 0, 0, 0]"),  # one short
+    ("hidden_dim", "5"),
+    ("input_dim", "Infinity"),
+    ("input_dim", "1e400"),  # read as inf
+    ("input_dim", "4.9"),
+    ("input_dim", '"4"'),
+    ("input_dim", "4.0"),
+    ("input_dim", "true"),
+])
+def test_network_from_dict_rejects_inconsistent_arrays(key, text):
+    # a field of an (H=6, m=4) network replaced by the JSON value `text`
     payload = network_to_dict(init_network(4, 6, seed=11))
-    payload["hidden_biases"] = payload["hidden_biases"][:-1]
+    payload[key] = json.loads(text)
     with pytest.raises(LengthMismatch):
         network_from_dict(payload)
 
@@ -496,8 +508,15 @@ def test_network_from_dict_rejects_non_finite_values(key, bad):
         network_from_dict(payload)
 
 
-def test_network_from_dict_rejects_unknown_activation():
+@pytest.mark.parametrize("key, value", [
+    ("hidden_activation", "relu"),
+    ("output_activation", "tanh"),
+    ("format_version", 99),
+    ("format_version", "1"),
+])
+def test_network_from_dict_rejects_unknown_activation(key, value):
+    # an activation or format version that network_to_dict does not write
     payload = network_to_dict(init_network(2, 2, seed=0))
-    payload["hidden_activation"] = "relu"
+    payload[key] = value
     with pytest.raises(LengthMismatch):
         network_from_dict(payload)
