@@ -157,7 +157,7 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
         payload = json.loads(Path(network_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read network file {network_path}: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise RuntimeFailure(f"network file is not valid JSON: {exc}") from None
     net = mlp.network_from_dict(payload)
     if net.input_dim != config.embedding:

@@ -119,7 +119,7 @@ def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, di
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a JSON object")

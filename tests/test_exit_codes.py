@@ -324,6 +324,12 @@ NON_FINITE = ("stage_lr=nan", "stage_lr=inf", "stage_momentum=-inf", "validation
                  id="config-without-input-csv"),
     pytest.param(["decompose", "--config", "array.json"], [], 2,
                  "ConfigError: config file must contain a JSON object", id="config-array"),
+    pytest.param(["decompose", "--config", "deep.json"], [], 2,
+                 "ConfigError: config file is not valid JSON: maximum recursion depth",
+                 id="config-nested-too-deep"),
+    pytest.param(["predict", "--config", "golden_config.json", "--network", "deep.json"], [], 1,
+                 "RuntimeFailure: network file is not valid JSON: maximum recursion depth",
+                 id="network-nested-too-deep"),
     pytest.param(golden_run("decompose"), ["input_csv=afile"], 1,
                  "ParseError: row 0, column 'value': file has no header row", id="csv-empty"),
     pytest.param(["predict", "--config", "golden_config.json"], [], 2,
@@ -372,6 +378,7 @@ def test_unreadable_file_or_non_finite_key_keeps_contract(tmp_path, monkeypatch,
     Path("surrogate.json").write_text('{"input_csv": "x\\ud800.csv"}')
     Path("empty.json").write_text("{}")
     Path("array.json").write_text("[]")
+    Path("deep.json").write_text("[" * 100_000 + "]" * 100_000)
     got, err = run_checked(tmp_path, argv, overrides)
     assert got == code
     assert err.startswith(f"error: {error}"), err
