@@ -11,8 +11,11 @@ first, then this checkout, with what the parent wrote removed in between.
 Both sides run in the same directory, so the paths that ``config_echo``
 records are the same.  The commands are the golden commands of
 regen_goldens.py; a compare on the golden config that diverges in the curve;
-and a decompose of ``two_sine_benchmark(2000, 1)`` at window 65, whose
-132,000 cells take the lane writer on more than one CPU.
+a decompose of ``two_sine_benchmark(2000, 1)`` at window 65, whose 132,000
+cells take the lane writer on more than one CPU and whose 65 components end
+in a reconstruction block of one column; and a decompose of
+``two_sine_benchmark(4000, 1)`` at window 256, whose components fill 16 whole
+blocks (``ssa.RECONSTRUCT_BLOCK``).
 
 Prints each artifact (by sha256), exit code, stdout and stderr that differs
 between the sides and exits 1 if any does; prints what it compared and exits
@@ -44,14 +47,17 @@ COMMANDS = (
      "--set", "stage_momentum=0"],
     ["decompose", "--config", "golden_config.json", "--set", "input_csv=wide.csv",
      "--set", "window=65", "--set", "output_dir=wide"],
+    ["decompose", "--config", "golden_config.json", "--set", "input_csv=wide4000.csv",
+     "--set", "window=256", "--set", "output_dir=wide4000"],
 )
 
 
 def write_inputs(workdir: Path) -> None:
     for name in ("golden_config.json", "tiny_series.csv"):
         shutil.copy(FIXTURES / name, workdir / name)
-    values = two_sine_benchmark(2000, 1)
-    write_csv(workdir / "wide.csv", ["time", "value"], enumerate(values.tolist()))
+    for name, n in (("wide.csv", 2000), ("wide4000.csv", 4000)):
+        values = two_sine_benchmark(n, 1)
+        write_csv(workdir / name, ["time", "value"], enumerate(values.tolist()))
 
 
 def digests(workdir: Path) -> dict[str, str]:

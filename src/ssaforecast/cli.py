@@ -68,7 +68,7 @@ def cmd_decompose(config: RunConfig, echo: dict) -> int:
         },
     )
     header = ["series"] + [f"rc_{k}" for k in range(1, config.window + 1)]
-    write_csv(out / "components.csv", header, np.column_stack([std.values, dec.rcs]))
+    write_csv(out / "components.csv", header, dec.components)
     write_csv(
         out / "singular_spectrum.csv",
         ["k", "log10_eigenvalue", "clamped"],

@@ -322,13 +322,27 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _numbers_only(value) -> bool:
+    """True if `value` is a JSON number, an int that is not a bool or a float,
+    or a list nested to any depth whose leaves all are."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            return False
+    return True
+
+
 def network_from_dict(payload: dict) -> Network:
     """Rebuild a network from its serialized form.
 
     A payload `network_to_dict` would not write raises LengthMismatch (a
     corrupt artifact, not a configuration problem): another format version
     or activation, dimensions that are not integers equal to the stored
-    arrays' shape, non-finite values, or a missing or malformed field.
+    arrays' shape, array entries that are not JSON numbers (strings and
+    booleans too), non-finite values, or a missing or malformed field.
     """
     try:
         version, h, m = (payload[key] for key in ("format_version", "hidden_dim", "input_dim"))
@@ -337,6 +351,9 @@ def network_from_dict(payload: dict) -> Network:
         names = payload["hidden_activation"], payload["output_activation"]
         if (version, *names) != (NETWORK_FORMAT_VERSION, HIDDEN_ACTIVATION, OUTPUT_ACTIVATION):
             raise ValueError(f"unsupported format version {version} or activations {names}")
+        for name in _ARRAYS:
+            if not _numbers_only(payload[name]):
+                raise TypeError(f"{name} must hold only numbers")
         net = Network(*(payload[name] for name in _ARRAYS))
         if net.hidden_weights.shape != (h, m):
             raise ValueError(f"stored arrays of m={net.input_dim}, H={net.hidden_dim} disagree "

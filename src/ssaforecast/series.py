@@ -93,21 +93,26 @@ def load_csv(path, value_column: str, time_column: str) -> RawSeries:
     # a byte that is not UTF-8 becomes a lone surrogate, so a cell holding one
     # fails to parse like any other malformed cell
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(0, value_column, "file has no header row")
+        # a name repeated in the header names its last column
+        index = {name: j for j, name in enumerate(header)}
         for col in (time_column, value_column):
-            if col not in reader.fieldnames:
+            if col not in index:
                 raise ParseError(0, col, "column missing from header")
         times: list[float] = []
         values: list[float] = []
-        for i, record in enumerate(reader, start=1):
-            for col, out in ((time_column, times), (value_column, values)):
-                cell = record.get(col)
-                if cell is None:
+        columns = ((time_column, index[time_column], times),
+                   (value_column, index[value_column], values))
+        # blank lines are skipped and do not count as rows
+        for i, row in enumerate(filter(None, reader), start=1):
+            for col, j, out in columns:
+                if j >= len(row):
                     raise ParseError(i, col, "missing cell")
                 try:
-                    x = float(cell)
+                    x = float(row[j])
                 except ValueError:
                     raise ParseError(i, col) from None
                 if not math.isfinite(x):

@@ -34,19 +34,28 @@ TRACE_RTOL = 1e-8
 COMPLETENESS_TOL = 1e-8
 LOG_EIGENVALUE_FLOOR = 1e-15
 SIGN_TIE_RTOL = 1e-8
+# components reconstructed per FFT batch: the transient is a few arrays of
+# RECONSTRUCT_BLOCK rows of the FFT length, however wide the window
+RECONSTRUCT_BLOCK = 16
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """One decomposition of a series: the lag correlations c_0..c_{M-1}, the
     eigenvalues in descending order with the matching orthonormal
-    eigenvector columns, and the reconstructed components (columns of rcs)."""
+    eigenvector columns, and the components table: the series in column 0,
+    then the reconstructed components (rcs, a view of columns 1..M)."""
 
     lags: np.ndarray  # (M,)
     eigenvalues: np.ndarray  # (M,)
     eigenvectors: np.ndarray  # (M, M), column k pairs with eigenvalues[k]
-    rcs: np.ndarray  # (N, M)
+    components: np.ndarray  # (N, M + 1): series, rc_1 .. rc_M
     completeness_error: float  # max |sum_k rc_k - series|
+
+    @property
+    def rcs(self) -> np.ndarray:
+        """(N, M) reconstructed components, a view of the table."""
+        return self.components[:, 1:]
 
 
 def check_window_size(window: int, n: int) -> None:
@@ -138,15 +147,22 @@ def _averaging_weights(n: int, window: int) -> np.ndarray:
     return np.minimum(np.minimum(t + 1, window), n - t).astype(np.float64)
 
 
-def _reconstruct_all(pcs: np.ndarray, eigvecs: np.ndarray, n: int) -> np.ndarray:
-    """All reconstructed components at once: the full convolution of each pcs
-    column with its eigvecs column (length N), batched through one FFT of a
-    power-of-two length, divided by the averaging weights."""
-    window = eigvecs.shape[0]
+def _reconstruct_all(pcs: np.ndarray, eigvecs: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (N, M) `out` with every reconstructed component: the full
+    convolution of each pcs column with its eigvecs column (length N),
+    through an FFT of a power-of-two length, divided by the averaging
+    weights.  RECONSTRUCT_BLOCK columns at a time, each held as a contiguous
+    row, so the transforms run along the last axis."""
+    n, window = out.shape
     size = 1 << (n - 1).bit_length()
-    spec = np.fft.rfft(pcs, size, axis=0) * np.fft.rfft(eigvecs, size, axis=0)
-    out = np.fft.irfft(spec, size, axis=0)[:n]
-    return out / _averaging_weights(n, window)[:, None]
+    weights = _averaging_weights(n, window)
+    for start in range(0, window, RECONSTRUCT_BLOCK):
+        cols = slice(start, start + RECONSTRUCT_BLOCK)
+        spec = np.fft.rfft(np.ascontiguousarray(pcs[:, cols].T), size)
+        spec *= np.fft.rfft(np.ascontiguousarray(eigvecs[:, cols].T), size)
+        block = np.fft.irfft(spec, size)[:, :n]
+        block /= weights
+        out[:, cols] = block.T
 
 
 def decompose(series, window: int) -> Decomposition:
@@ -156,11 +172,13 @@ def decompose(series, window: int) -> Decomposition:
     lags = lag_correlation(x, window)
     eigenvalues, eigenvectors = eigendecompose(lags)
     pcs = principal_components(x, eigenvectors)
-    rcs = _reconstruct_all(pcs, eigenvectors, x.size)
-    err = float(np.max(np.abs(rcs.sum(axis=1) - x)))
+    table = np.empty((x.size, window + 1))
+    table[:, 0] = x
+    _reconstruct_all(pcs, eigenvectors, table[:, 1:])
+    err = float(np.max(np.abs(table[:, 1:].sum(axis=1) - x)))
     if err > COMPLETENESS_TOL:
         raise ConvergenceFailure(f"component sum fails to reproduce the series (error {err:.3e})")
-    return Decomposition(lags, eigenvalues, eigenvectors, rcs, err)
+    return Decomposition(lags, eigenvalues, eigenvectors, table, err)
 
 
 def partial_reconstruction(dec: Decomposition, count: int) -> np.ndarray:

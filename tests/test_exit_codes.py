@@ -439,12 +439,48 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 DELETED = object()
+# what may stand in one entry of a weight array: a JSON string or boolean,
+# which no network_to_dict output holds, or a number
+ENTRIES = (st.text(max_size=4) | st.booleans() | st.integers() | st.floats()
+           | st.sampled_from(["0.5", " 1e-3 ", "nan", True, False, 0, 1.0]))
+PREDICT = ["predict", "--config", "config.json", "--network", "network.json"]
+
+
+def write_predict_inputs(workdir: Path, network: dict) -> set:
+    """CONFIG, `network` and a 40-row sine in `workdir`; the paths there."""
+    (workdir / "config.json").write_text(json.dumps(CONFIG))
+    (workdir / "network.json").write_text(json.dumps(network))
+    rows = [f"{t},{math.sin(t / 3.0)!r}" for t in range(40)]
+    (workdir / "data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+    return set(workdir.rglob("*"))
+
+
+def with_entry(array: list, index: int, entry) -> list:
+    """A copy of a 1-D or 2-D nested list with its index-th entry (modulo
+    the entry count, row-major) replaced by `entry`."""
+    copy = json.loads(json.dumps(array))
+    rows = copy if isinstance(copy[0], list) else [copy]
+    cells = [(row, j) for row in rows for j in range(len(row))]
+    row, j = cells[index % len(cells)]
+    row[j] = entry
+    return copy
+
+
+def field_values(key: str):
+    """DELETED or any JSON value; for a weight array also the stored array
+    with one entry replaced."""
+    values = st.just(DELETED) | JSON_VALUES
+    if isinstance(NETWORK[key], list):
+        values |= st.builds(with_entry, st.just(NETWORK[key]), st.integers(0, 100), ENTRIES)
+    return values
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(NETWORK)), st.just(DELETED) | JSON_VALUES)
-def test_fuzzed_network_file_keeps_exit_code_contract(key, value):
+@given(st.sampled_from(sorted(NETWORK)).flatmap(lambda key: st.tuples(st.just(key),
+                                                                       field_values(key))))
+def test_fuzzed_network_file_keeps_exit_code_contract(field):
     # predict with one field of a valid network file replaced, or deleted
+    key, value = field
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -453,16 +489,20 @@ def test_fuzzed_network_file_keeps_exit_code_contract(key, value):
             network = {k: v for k, v in NETWORK.items() if k != key or value is not DELETED}
             if value is not DELETED:
                 network[key] = value
-            Path("config.json").write_text(json.dumps(CONFIG))
-            Path("network.json").write_text(json.dumps(network))
-            rows = [f"{t},{math.sin(t / 3.0)!r}" for t in range(40)]
-            Path("data.csv").write_text("\n".join(["time,value", *rows]) + "\n")
-            before = set(workdir.rglob("*"))
-            code, err = run_main(["predict", "--config", "config.json", "--network",
-                                  "network.json"])
+            before = write_predict_inputs(workdir, network)
+            code, err = run_main(PREDICT)
             assert_contract("predict", code, err, workdir, before)
         finally:
             os.chdir(cwd)
+
+
+@pytest.mark.parametrize("entries", [["0.5", True, " 1e-3 "], [0.5, True, 0.0], [0, 0, "0"]])
+def test_network_entries_that_are_not_numbers_exit_1(tmp_path, monkeypatch, entries):
+    monkeypatch.chdir(tmp_path)
+    write_predict_inputs(tmp_path, {**NETWORK, "hidden_biases": entries})
+    code, err = run_main(PREDICT)
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: LengthMismatch: "), err
 
 
 # -- CSV contents on the golden config -----------------------------------------

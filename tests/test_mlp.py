@@ -24,6 +24,7 @@ from ssaforecast.mlp import (
     network_to_dict,
     train,
 )
+from ssaforecast.jsonio import dumps
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import build_embedding, split_validation
 
@@ -494,6 +495,30 @@ def test_network_from_dict_rejects_inconsistent_arrays(key, text):
     payload[key] = json.loads(text)
     with pytest.raises(LengthMismatch):
         network_from_dict(payload)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hidden_biases", ["0.5", True, " 1e-3 "]),
+    ("hidden_biases", [0.5, False, 0.0]),
+    ("hidden_weights", [[0.1, 0.2], ["0.3", 0.4], [0.5, 0.6]]),
+    ("output_weights", [[0.1, None, 0.3]]),
+    ("output_bias", [True]),
+])
+def test_network_from_dict_rejects_entries_that_are_not_numbers(key, value):
+    # an array of an (H=3, m=2) network replaced by `value`
+    payload = network_to_dict(init_network(2, 3, seed=0))
+    payload[key] = value
+    with pytest.raises(LengthMismatch):
+        network_from_dict(payload)
+
+
+def test_network_from_dict_reads_integer_entries():
+    # jsonio writes an integral float, such as a zero bias, as an integer
+    net = init_network(2, 3, seed=0)
+    payload = json.loads(dumps(network_to_dict(net)))
+    assert payload["hidden_biases"] == [0, 0, 0] and type(payload["output_bias"][0]) is int
+    back = network_from_dict(payload)
+    np.testing.assert_array_equal(back.flat, net.flat)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssaforecast.benchmark import two_sine_benchmark
 from ssaforecast.errors import BadComponentCount, DimensionMismatch, WindowTooLarge
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import standardize
 from ssaforecast.ssa import (
+    _averaging_weights,
     _fix_signs,
     _reconstruct_all,
     decompose,
@@ -246,11 +249,56 @@ def test_reconstruction_hand_example():
     e2 = np.array([1 / SQ2, -1 / SQ2])
     vecs = np.column_stack([e1, e2])
     pcs = principal_components(x, vecs)
-    rcs = _reconstruct_all(pcs, vecs, 4)
+    rcs = np.empty((4, 2))
+    _reconstruct_all(pcs, vecs, rcs)
     np.testing.assert_allclose(rcs[:, 0], [1.5, 2.0, 3.0, 3.5], atol=1e-12)
     np.testing.assert_allclose(rcs[:, 0], naive_rc(pcs[:, 0], e1, 4, 2), atol=1e-12)
     np.testing.assert_allclose(rcs[:, 1], naive_rc(pcs[:, 1], e2, 4, 2), atol=1e-12)
     np.testing.assert_allclose(rcs.sum(axis=1), x, atol=1e-10)
+
+
+def one_shot_reconstruction(pcs, eigvecs, n):
+    """Every component through one FFT along axis 0: the reconstruction
+    before it ran in blocks of columns, kept as the bitwise reference."""
+    size = 1 << (n - 1).bit_length()
+    spec = np.fft.rfft(pcs, size, axis=0) * np.fft.rfft(eigvecs, size, axis=0)
+    out = np.fft.irfft(spec, size, axis=0)[:n]
+    return out / _averaging_weights(n, eigvecs.shape[0])[:, None]
+
+
+@pytest.mark.parametrize("window", [1, 2, 15, 16, 17, 32, 33, 65])
+def test_blocked_reconstruction_is_bitwise_the_one_shot_formula(window):
+    # windows on both sides of whole RECONSTRUCT_BLOCK multiples
+    x = standardize(ar1(300, 0.8, seed=window)).values
+    dec = decompose(x, window)
+    pcs = principal_components(x, dec.eigenvectors)
+    want = one_shot_reconstruction(pcs, dec.eigenvectors, x.size)
+    assert np.array_equal(dec.rcs, want)
+    assert dec.completeness_error == float(np.max(np.abs(want.sum(axis=1) - x)))
+
+
+def test_components_table_holds_series_and_rcs():
+    x = standardize(ar1(120, 0.5, seed=3)).values
+    dec = decompose(x, 20)
+    assert dec.components.shape == (120, 21) and dec.rcs.shape == (120, 20)
+    assert np.shares_memory(dec.rcs, dec.components)
+    assert np.array_equal(dec.components[:, 0], x)
+
+
+def test_decompose_memory_peak_is_table_and_pcs():
+    # the reconstruction's transient is a few (RECONSTRUCT_BLOCK, 2N)
+    # arrays, not (N, M) ones
+    x = two_sine_benchmark(4000, 1)
+    n, window = x.size, 256
+    table_bytes = n * (window + 1) * 8
+    pcs_bytes = (n - window + 1) * window * 8
+    tracemalloc.start()
+    try:
+        decompose(x, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes + pcs_bytes + 4 * 2**20
 
 
 @settings(max_examples=30, deadline=None)
