@@ -42,7 +42,7 @@ from ssaforecast.jsonio import write_csv
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 COMMANDS = (
-    *regen_goldens.COMMANDS,
+    *(argv for argv, _ in regen_goldens.COMMANDS),
     ["compare", "--config", "golden_config.json", "--set", "stage_lr=1e6",
      "--set", "stage_momentum=0"],
     ["decompose", "--config", "golden_config.json", "--set", "input_csv=wide.csv",

@@ -19,17 +19,18 @@ sys.path.insert(0, str(ROOT / "src"))
 from ssaforecast.cli import main  # noqa: E402
 
 GOLDEN_DIR = ROOT / "tests" / "fixtures" / "golden"
-GOLDEN_FILES = (
-    "spectrum.json", "components.csv", "singular_spectrum.csv",
-    "summary.json", "network.json", "trace.csv", "forecast.csv", "forecast.json",
-    "comparison.json", "curve.csv",
-)
+# each golden command, with the golden files it writes; predict runs on the
+# network that train wrote
 COMMANDS = (
-    ["decompose", "--config", "golden_config.json"],
-    ["train", "--config", "golden_config.json"],
-    ["predict", "--config", "golden_config.json", "--network", "out/network.json"],
-    ["compare", "--config", "golden_config.json", "--set", "seeds=0,1,2",
-     "--set", "compare_horizon=20", "--set", "stage_epochs=40"],
+    (["decompose", "--config", "golden_config.json"],
+     ("spectrum.json", "components.csv", "singular_spectrum.csv")),
+    (["train", "--config", "golden_config.json"],
+     ("summary.json", "network.json", "trace.csv")),
+    (["predict", "--config", "golden_config.json", "--network", "out/network.json"],
+     ("forecast.csv", "forecast.json")),
+    (["compare", "--config", "golden_config.json", "--set", "seeds=0,1,2",
+      "--set", "compare_horizon=20", "--set", "stage_epochs=40"],
+     ("comparison.json", "curve.csv")),
 )
 
 
@@ -43,16 +44,17 @@ def run() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in COMMANDS:
+            for argv, _ in COMMANDS:
                 code = main(argv)
                 if code != 0:
                     raise SystemExit(f"{' '.join(argv)} exited {code}; goldens left unchanged")
         finally:
             os.chdir(cwd)
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        for name in GOLDEN_FILES:
-            shutil.copy(tmp / "out" / name, GOLDEN_DIR / name)
-            print(f"wrote tests/fixtures/golden/{name}")
+        for _, names in COMMANDS:
+            for name in names:
+                shutil.copy(tmp / "out" / name, GOLDEN_DIR / name)
+                print(f"wrote tests/fixtures/golden/{name}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,10 @@ def multi_step_predict(net: Network, seed_window, horizon: int) -> np.ndarray:
         )
     batch = Batch(window[None, :], None, net.hidden_dim)
     window = batch.inputs[0]  # fed back in place
-    out = np.empty(horizon)
+    try:
+        out = np.empty(horizon)
+    except (MemoryError, ValueError):  # beyond memory, or beyond numpy's largest size
+        raise ConfigError(f"horizon {horizon} is too large") from None
     # overflow is the failure mode being detected, not an error to warn about
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):

@@ -169,61 +169,45 @@ SUNSPOT_FILES = (
 )
 
 
-def _twin_workdirs(tmp_path_factory, label: str, data_file: str, data_name: str, config: dict):
-    """Two sibling directories with byte-identical configs and inputs, so
-    rerun outputs must be byte-identical (criterion 7)."""
+def experiment_config(name: str, local_csv: str, **changes) -> tuple[dict, Path]:
+    """The committed ``configs/<name>`` with its ``input_csv`` pointed at a
+    local copy named `local_csv`, ``output_dir`` at ``out`` and `changes`
+    applied, and the committed input file to copy."""
+    committed = json.loads((REPO / "configs" / name).read_text())
+    config = {**committed, "input_csv": local_csv, "output_dir": "out", **changes}
+    return config, REPO / committed["input_csv"]
+
+
+def _run_twin(tmp_path_factory, label: str, config_name: str, local_csv: str, argvs):
+    """Run the commands `argvs` in two sibling directories, each holding a
+    copy of the input and the same merged run.json, so rerun outputs must be
+    byte-identical (criterion 7).  The first directory's run is timed."""
+    config, source = experiment_config(config_name, local_csv)
     base = tmp_path_factory.mktemp(label)
-    dirs = []
+    dirs, codes = [], []
     for sub in ("a", "b"):
         d = base / sub
         d.mkdir()
-        shutil.copy(data_file, d / data_name)
+        shutil.copy(source, d / local_csv)
         (d / "run.json").write_text(json.dumps(config))
+        t0 = time.perf_counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(d)
+            codes.extend(main(argv) for argv in argvs)
+        if not dirs:
+            elapsed = time.perf_counter() - t0
         dirs.append(d)
-    return dirs
+    return {"dirs": tuple(dirs), "codes": codes, "elapsed": elapsed}
 
 
-BENCHMARK_COMPARE_CONFIG = {
-    "input_csv": "series.csv",
-    "window": 35,
-    "embedding": 5,
-    "hidden_units": 10,
-    "pc_step": 2,
-    "stage_epochs": 600,
-    "stage_lr": 0.05,
-    "stage_momentum": 0.9,
-    "patience": 0,
-    "validation_fraction": 0.10,
-    "seed": 0,
-    "seeds": list(range(10)),
-    "compare_horizon": 50,
-    "output_dir": "out",
-}
 HELD_OUT_SEEDS = list(range(10, 50))
 
 
 @pytest.fixture(scope="module")
 def benchmark_compare(tmp_path_factory):
     """cmd_compare on the committed benchmark, twice (criteria 5 and 7)."""
-    dir_a, dir_b = _twin_workdirs(
-        tmp_path_factory, "bench_compare",
-        REPO / "tests" / "fixtures" / "benchmark_two_sine.csv", "series.csv",
-        BENCHMARK_COMPARE_CONFIG,
-    )
-    import os
-
-    cwd = os.getcwd()
-    codes = []
-    t0 = time.perf_counter()
-    for d in (dir_a, dir_b):
-        os.chdir(d)
-        try:
-            codes.append(main(["compare", "--config", "run.json"]))
-        finally:
-            os.chdir(cwd)
-        if d is dir_a:
-            elapsed = time.perf_counter() - t0
-    return {"dirs": (dir_a, dir_b), "codes": codes, "elapsed": elapsed}
+    return _run_twin(tmp_path_factory, "bench_compare", "two_sine_compare.json", "series.csv",
+                     [["compare", "--config", "run.json"]])
 
 
 def _criterion_5_rule(doc) -> tuple[bool, bool, str]:
@@ -260,8 +244,9 @@ def test_criterion_5_held_out_seeds(tmp_path, monkeypatch):
     is printed, not asserted: a 10-seed median passes or fails partly by
     chance, and this shows how far the gated result carries."""
     monkeypatch.chdir(tmp_path)
-    shutil.copy(REPO / "tests" / "fixtures" / "benchmark_two_sine.csv", "series.csv")
-    Path("run.json").write_text(json.dumps({**BENCHMARK_COMPARE_CONFIG, "seeds": HELD_OUT_SEEDS}))
+    config, source = experiment_config("two_sine_compare.json", "series.csv", seeds=HELD_OUT_SEEDS)
+    shutil.copy(source, "series.csv")
+    Path("run.json").write_text(json.dumps(config))
     t0 = time.perf_counter()
     assert main(["compare", "--config", "run.json"]) == 0
     elapsed = time.perf_counter() - t0
@@ -275,43 +260,11 @@ def test_criterion_5_held_out_seeds(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def sunspot_pipeline(tmp_path_factory):
     """decompose -> train -> predict on the monthly sunspot CSV, twice."""
-    config = {
-        "input_csv": "sunspots_monthly.csv",
-        "time_column": "time",
-        "value_column": "sunspots",
-        "window": 35,
-        "embedding": 5,
-        "hidden_units": 10,
-        "pc_step": 2,
-        "stage_epochs": 600,
-        "stage_lr": 0.05,
-        "stage_momentum": 0.9,
-        "patience": 200,
-        "validation_fraction": 0.10,
-        "seed": 0,
-        "horizon": 72,
-        "output_dir": "out",
-    }
-    dir_a, dir_b = _twin_workdirs(
-        tmp_path_factory, "sunspot",
-        REPO / "data" / "sunspots_monthly.csv", "sunspots_monthly.csv", config,
-    )
-    import os
-
-    cwd = os.getcwd()
-    codes = []
-    t0 = time.perf_counter()
-    for d in (dir_a, dir_b):
-        os.chdir(d)
-        try:
-            codes.append(main(["decompose", "--config", "run.json"]))
-            codes.append(main(["train", "--config", "run.json"]))
-            codes.append(main(["predict", "--config", "run.json", "--network", "out/network.json"]))
-        finally:
-            os.chdir(cwd)
-        if d is dir_a:
-            elapsed = time.perf_counter() - t0
-    return {"dirs": (dir_a, dir_b), "codes": codes, "elapsed": elapsed}
+    return _run_twin(tmp_path_factory, "sunspot", "sunspot.json", "sunspots_monthly.csv", [
+        ["decompose", "--config", "run.json"],
+        ["train", "--config", "run.json"],
+        ["predict", "--config", "run.json", "--network", "out/network.json"],
+    ])
 
 
 def test_criterion_6_sunspot_end_to_end(sunspot_pipeline):

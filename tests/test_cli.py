@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -13,6 +14,11 @@ from ssaforecast.cli import main
 from ssaforecast.mlp import init_network, network_from_dict, network_to_dict
 from ssaforecast.series import load_csv, standardize
 from test_mlp import one_step
+
+_spec = importlib.util.spec_from_file_location(
+    "regen_goldens", Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py")
+regen_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen_goldens)
 
 
 def read(path) -> bytes:
@@ -110,6 +116,17 @@ def assert_golden_files(outputs, fixtures_dir, names):
         assert_matches_golden(first / name, fixtures_dir / "golden" / name)
 
 
+@pytest.mark.parametrize("argv, names", regen_goldens.COMMANDS,
+                         ids=[argv[0] for argv, _ in regen_goldens.COMMANDS])
+def test_golden_files(workdir, fixtures_dir, monkeypatch, argv, names):
+    if argv[0] == "predict":
+        # predict alone, on the committed network (the train golden covers train)
+        for cwd in (workdir, workdir / "rerun"):
+            (cwd / "out").mkdir(parents=True)
+            shutil.copy(fixtures_dir / "golden" / "network.json", cwd / "out" / "network.json")
+    assert_golden_files(run_twice(workdir, monkeypatch, argv), fixtures_dir, names)
+
+
 # -- decompose -----------------------------------------------------------------
 
 def test_decompose_outputs(workdir, capsys):
@@ -126,13 +143,6 @@ def test_decompose_outputs(workdir, capsys):
     plot_lines = read("out/singular_spectrum.csv").decode().splitlines()
     assert plot_lines[0] == "k,log10_eigenvalue,clamped"
     assert len(plot_lines) == 9
-
-
-def test_decompose_golden_files(workdir, fixtures_dir, monkeypatch):
-    outputs = run_twice(workdir, monkeypatch, ["decompose", "--config", "golden_config.json"])
-    assert_golden_files(
-        outputs, fixtures_dir, ("spectrum.json", "components.csv", "singular_spectrum.csv")
-    )
 
 
 def test_decompose_window_one(workdir):
@@ -154,11 +164,6 @@ def test_decompose_rerun_bitwise_identical(workdir):
 
 
 # -- train ----------------------------------------------------------------------
-
-def test_train_golden_files(workdir, fixtures_dir, monkeypatch):
-    outputs = run_twice(workdir, monkeypatch, ["train", "--config", "golden_config.json"])
-    assert_golden_files(outputs, fixtures_dir, ("summary.json", "network.json", "trace.csv"))
-
 
 FINAL_TRAIN_MSE = "0.0056082748398999151"  # in the golden summary.json
 
@@ -244,17 +249,6 @@ def test_unknown_override_key_exit_2(workdir, capsys):
 
 # -- predict ---------------------------------------------------------------------
 
-def test_predict_golden_files(workdir, fixtures_dir, monkeypatch):
-    # predict alone, on the committed network (the train golden covers train)
-    for cwd in (workdir, workdir / "rerun"):
-        (cwd / "out").mkdir(parents=True)
-        shutil.copy(fixtures_dir / "golden" / "network.json", cwd / "out" / "network.json")
-    outputs = run_twice(workdir, monkeypatch,
-                        ["predict", "--config", "golden_config.json",
-                         "--network", "out/network.json"])
-    assert_golden_files(outputs, fixtures_dir, ("forecast.csv", "forecast.json"))
-
-
 def test_predict_horizon_one_matches_one_step(workdir):
     assert main(["train", "--config", "golden_config.json"]) == 0
     assert main(["predict", "--config", "golden_config.json",
@@ -298,13 +292,6 @@ def test_predict_emits_peak(workdir):
 
 
 # -- compare ----------------------------------------------------------------------
-
-def test_compare_golden_files(workdir, fixtures_dir, monkeypatch):
-    outputs = run_twice(workdir, monkeypatch,
-                        ["compare", "--config", "golden_config.json", "--set", "seeds=0,1,2",
-                         "--set", "compare_horizon=20", "--set", "stage_epochs=40"])
-    assert_golden_files(outputs, fixtures_dir, ("comparison.json", "curve.csv"))
-
 
 def test_compare_singleton_seed(workdir):
     assert main(["compare", "--config", "golden_config.json",

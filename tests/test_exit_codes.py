@@ -146,15 +146,21 @@ def test_degenerate_csv_keeps_exit_code_contract(values, command):
             os.chdir(cwd)
 
 
-@pytest.mark.parametrize("horizon", ["0", "-1"])
-def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon):
+@pytest.mark.parametrize("horizon, message", [
+    ("0", "horizon must be at least 1"),
+    ("-1", "horizon must be at least 1"),
+    # sizes beyond the address space: a forecast array that cannot be made
+    (str(10**16), f"horizon {10**16} is too large"),
+    (str(2**63), f"horizon {2**63} is too large"),
+], ids=["0", "-1", "10**16", "2**63"])
+def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon, message):
     (workdir / "out").mkdir()
     shutil.copy(fixtures_dir / "golden" / "network.json", workdir / "out" / "network.json")
     before = set(workdir.rglob("*"))
     code, err = run_main(["predict", "--config", "golden_config.json",
                           "--network", "out/network.json", "--horizon", horizon])
     assert code == 2
-    assert err == "error: ConfigError: horizon must be at least 1\n"
+    assert err == f"error: ConfigError: {message}\n"
     assert_contract("predict", code, err, workdir, before)
 
 
