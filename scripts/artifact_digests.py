@@ -15,7 +15,10 @@ a decompose of ``two_sine_benchmark(2000, 1)`` at window 65, whose 132,000
 cells take the lane writer on more than one CPU and whose 65 components end
 in a reconstruction block of one column; and a decompose of
 ``two_sine_benchmark(4000, 1)`` at window 256, whose components fill 16 whole
-blocks (``ssa.RECONSTRUCT_BLOCK``).
+blocks (``ssa.RECONSTRUCT_BLOCK``); a 300-step predict, whose forecast.csv is
+a table of 300 rows; and the JSON reader's failures: a config file and a
+network file holding ``{`` (exit 2 and exit 1) and a missing network file
+(exit 2).
 
 Prints each artifact (by sha256), exit code, stdout and stderr that differs
 between the sides and exits 1 if any does; prints what it compared and exits
@@ -49,6 +52,11 @@ COMMANDS = (
      "--set", "window=65", "--set", "output_dir=wide"],
     ["decompose", "--config", "golden_config.json", "--set", "input_csv=wide4000.csv",
      "--set", "window=256", "--set", "output_dir=wide4000"],
+    ["predict", "--config", "golden_config.json", "--network", "out/network.json",
+     "--set", "horizon=300", "--set", "output_dir=long"],
+    ["decompose", "--config", "broken.json"],
+    ["predict", "--config", "golden_config.json", "--network", "broken.json"],
+    ["predict", "--config", "golden_config.json", "--network", "missing.json"],
 )
 
 
@@ -58,6 +66,7 @@ def write_inputs(workdir: Path) -> None:
     for name, n in (("wide.csv", 2000), ("wide4000.csv", 4000)):
         values = two_sine_benchmark(n, 1)
         write_csv(workdir / name, ["time", "value"], enumerate(values.tolist()))
+    (workdir / "broken.json").write_text("{")
 
 
 def digests(workdir: Path) -> dict[str, str]:

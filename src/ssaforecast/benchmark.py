@@ -20,15 +20,19 @@ _AMPLITUDES = (1.0, 0.4)
 _NOISE_SIGMA = 0.3
 
 
-def two_sine_benchmark(n: int = 600, seed: int = 0) -> np.ndarray:
-    """Two sinusoids (fixed phases) plus white Gaussian noise.
+def two_sine_signal(n: int = 600) -> np.ndarray:
+    """The two sinusoids (fixed phases) alone, without the noise.
 
     The short period is half the long one, mimicking a fundamental plus
-    harmonic buried in noise; the window sizes used in experiments cover
-    several fundamental cycles.
+    harmonic; the window sizes used in experiments cover several
+    fundamental cycles.
     """
     t = np.arange(n, dtype=np.float64)
-    clean = (_AMPLITUDES[0] * np.sin(2.0 * math.pi * t / _PERIODS[0] + 0.7)
-             + _AMPLITUDES[1] * np.sin(2.0 * math.pi * t / _PERIODS[1] + 2.3))
+    return (_AMPLITUDES[0] * np.sin(2.0 * math.pi * t / _PERIODS[0] + 0.7)
+            + _AMPLITUDES[1] * np.sin(2.0 * math.pi * t / _PERIODS[1] + 2.3))
+
+
+def two_sine_benchmark(n: int = 600, seed: int = 0) -> np.ndarray:
+    """`two_sine_signal(n)` buried in white Gaussian noise."""
     noise = SplitMix64(seed, stream=_NOISE_STREAM).normals(n)
-    return clean + _NOISE_SIGMA * noise
+    return two_sine_signal(n) + _NOISE_SIGMA * noise

@@ -2,7 +2,7 @@
 
     ssaforecast decompose --config run.json [--set key=value ...]
     ssaforecast train     --config run.json [--mode curriculum|baseline]
-    ssaforecast predict   --config run.json --network net.json [--horizon N]
+    ssaforecast predict   --config run.json --network net.json [--set horizon=N]
     ssaforecast compare   --config run.json
 
 Exit codes: 0 success, 1 runtime/numerical failure (bad data, divergence,
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
-import json
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -27,7 +26,7 @@ import numpy as np
 from . import curriculum as cur
 from . import forecast as fc
 from . import mlp, ssa
-from .config import RunConfig, check_text, load_config
+from .config import RunConfig, load_config, read_json
 from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, RuntimeFailure, ValidationError
 from .jsonio import dumps, write_csv, write_json
 from .lanes import one_blas_thread
@@ -152,14 +151,7 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
 def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     if not network_path:
         raise ConfigError("predict requires --network")
-    check_text("network path", network_path)
-    try:
-        payload = json.loads(Path(network_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read network file {network_path}: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-        raise RuntimeFailure(f"network file is not valid JSON: {exc}") from None
-    net = mlp.network_from_dict(payload)
+    net = mlp.network_from_dict(read_json(network_path, "network", RuntimeFailure))
     if net.input_dim != config.embedding:
         raise DimensionMismatch(
             f"network input_dim {net.input_dim} does not match config embedding {config.embedding}"
@@ -270,15 +262,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=("curriculum", "baseline"), default="curriculum")
         if name == "predict":
             p.add_argument("--network", default="")
-            p.add_argument("--horizon", type=int, default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "horizon", None) is not None:
-        # --horizon N is the last --set horizon=N
-        args.overrides.append(f"horizon={args.horizon}")
     with warnings.catch_warnings():
         # one line, without the module path and source line of Python's default
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -27,6 +27,19 @@ def check_text(what: str, text: str) -> None:
         raise ConfigError(f"{what} must be UTF-8 text, without lone surrogates")
 
 
+def read_json(path, what: str, invalid: type[Exception]):
+    """The JSON document in the `what` file at `path` ("config" or
+    "network"): a path that breaks the text rule or a file that cannot be
+    read is a ConfigError, a file that is not JSON an `invalid`."""
+    check_text(f"{what} path", str(path))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        raise invalid(f"{what} file is not valid JSON: {exc}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input_csv: str = ""
@@ -114,13 +127,7 @@ def _parse_override(text: str) -> tuple[str, object]:
 def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, dict]:
     """Parse the config file, apply overrides, validate, and return both the
     config and its echo dict (the merged mapping plus the overrides used)."""
-    check_text("config path", str(path))
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    payload = read_json(path, "config", ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a JSON object")
     for key in payload:

@@ -136,10 +136,10 @@ def error_vs_pc_curve(
     """
     dec = decompose(series, window)
     x, y = build_embedding(series.values, embedding)
-    raw = split_validation(y.size, fraction, seed)
+    batches = [Batch(x[i], y[i], hidden) for i in split_validation(y.size, fraction, seed)]
 
     def score(net) -> tuple[float, ...]:
-        return tuple(mse(forward_batch(net, Batch(x[i], None, hidden)), y[i]) for i in raw)
+        return tuple(mse(forward_batch(net, b), b.targets) for b in batches)
 
     ps = range(2, window + 1)
     sweep = curriculum_train(series, dec, embedding, ps, hidden, params, seed, fraction)

@@ -35,9 +35,6 @@ from .lanes import lane_count, run_side_by_side
 
 # spaces per nesting level of JSON output
 _INDENT = 2
-# rows of mixed cells converted and written per block: bounds the Python
-# objects held at once
-_BLOCK_ROWS = 256
 # float cells formatted per block: bounds _float_text's temporaries, about
 # 170 bytes a cell (0.7 MiB a block by tracemalloc; a block of 256 rows took
 # 1.6 MiB at 66 columns and 6.2 MiB at 257 as Python floats and strings)
@@ -335,17 +332,6 @@ def _float_blocks(rows: np.ndarray):
         yield _float_text(rows[start : start + step])
 
 
-def _row_blocks(rows):
-    """The CSV text of rows of cells, `_BLOCK_ROWS` rows at a time."""
-    lines = []
-    for row in rows:
-        lines.append(",".join([_scalar_text(cell) or str(cell) for cell in row]) + "\n")
-        if len(lines) == _BLOCK_ROWS:
-            yield "".join(lines)
-            lines = []
-    yield "".join(lines)
-
-
 def _write_rows(fh, rows: np.ndarray) -> None:
     fh.writelines(_float_blocks(rows))
 
@@ -396,4 +382,6 @@ def write_csv(path, header: list[str], rows) -> None:
             else:
                 _write_rows(fh, rows)
         else:
-            fh.writelines(_row_blocks(rows))
+            fh.writelines(
+                ",".join([_scalar_text(cell) or str(cell) for cell in row]) + "\n" for row in rows
+            )

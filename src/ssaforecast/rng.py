@@ -95,21 +95,19 @@ class SplitMix64:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n): for i = n-1 down to 1, swap
-        position i with below(i + 1).  The draws are made a block at a
-        time; a rejected draw ends the block, and the next block starts
-        after it, so each swap takes the draw that `below` would take."""
+        position i with below(i + 1).  The draws are made as one block; from
+        the first draw `below` would reject (probability below n / 2**64)
+        on, `below` itself makes them."""
         out = list(range(n))
         bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for each i
-        done = 0
-        while done < bounds.size:
-            todo = bounds[done:]
-            draws = self._outputs(todo.size)
-            # below(b) takes u <= 2**64 - 1 - 2**64 % b; 0 - b wraps to 2**64 - b
-            limits = np.uint64(_MASK64) - (np.uint64(0) - todo) % todo
-            rejected = np.flatnonzero(draws > limits)
-            take = int(rejected[0]) if rejected.size else todo.size
-            self._state = (self._state + (take + bool(rejected.size)) * _PHI) & _MASK64
-            for i, j in zip(range(n - 1 - done, 0, -1), (draws[:take] % todo[:take]).tolist()):
-                out[i], out[j] = out[j], out[i]
-            done += take
+        draws = self._outputs(bounds.size)
+        # below(b) takes u <= 2**64 - 1 - 2**64 % b; 0 - b wraps to 2**64 - b
+        limits = np.uint64(_MASK64) - (np.uint64(0) - bounds) % bounds
+        rejected = np.flatnonzero(draws > limits)
+        take = int(rejected[0]) if rejected.size else bounds.size
+        self._state = (self._state + take * _PHI) & _MASK64
+        picks = (draws[:take] % bounds[:take]).tolist()
+        picks += [self.below(b) for b in range(n - take, 1, -1)]  # bounds[take:]
+        for i, j in zip(range(n - 1, 0, -1), picks):
+            out[i], out[j] = out[j], out[i]
         return np.array(out, dtype=np.int_)

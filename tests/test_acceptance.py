@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ssaforecast.benchmark import two_sine_benchmark, two_sine_signal
 from ssaforecast.cli import main
 from ssaforecast.mlp import Batch, backprop_gradient, forward_batch
 from ssaforecast.rng import SplitMix64
@@ -210,8 +211,17 @@ def benchmark_compare(tmp_path_factory):
                      [["compare", "--config", "run.json"]])
 
 
+def _holdout_noise_rms(horizon: int) -> float:
+    """RMS of the benchmark series' noise over its last `horizon` samples: the
+    holdout RMSE of a forecast of the noise-free signal, a floor for both
+    arms (the committed CSV is two_sine_benchmark(600, 0))."""
+    noise = two_sine_benchmark(600, 0) - two_sine_signal(600)
+    return float(np.sqrt(np.mean(noise[-horizon:] ** 2)))
+
+
 def _criterion_5_rule(doc) -> tuple[bool, bool, str]:
-    """(validation rule met, RMSE rule met, the medians and paired counts)."""
+    """(validation rule met, RMSE rule met, the medians, paired counts and
+    holdout noise RMS)."""
     med = doc["medians"]
     val_ok = med["curriculum_validation_mse"] <= med["baseline_validation_mse"]
     rmse_ok = med["curriculum_forecast_rmse"] <= 1.1 * med["baseline_forecast_rmse"]
@@ -223,7 +233,8 @@ def _criterion_5_rule(doc) -> tuple[bool, bool, str]:
         f"median 50-step RMSE {med['curriculum_forecast_rmse']:.4f} <= "
         f"1.1 x {med['baseline_forecast_rmse']:.4f}; curriculum wins val "
         f"{val['curriculum_wins']}/{seeds} (sign test p {val['sign_test_p']:.2f}), "
-        f"RMSE {rmse['curriculum_wins']}/{seeds} (p {rmse['sign_test_p']:.2f})"
+        f"RMSE {rmse['curriculum_wins']}/{seeds} (p {rmse['sign_test_p']:.2f}); "
+        f"holdout noise RMS {_holdout_noise_rms(doc['compare_horizon']):.4f}"
     )
     return val_ok, rmse_ok, detail
 

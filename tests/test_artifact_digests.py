@@ -7,4 +7,4 @@ def test_checkout_against_itself_shows_no_difference(repo_root, monkeypatch, cap
 
     monkeypatch.setattr(artifact_digests, "export", lambda ref, dest: dest.symlink_to(repo_root))
     assert artifact_digests.main(["HEAD"]) == 0
-    assert capsys.readouterr().out == "7 commands, 17 artifacts: 0 differences\n"
+    assert capsys.readouterr().out == "11 commands, 19 artifacts: 0 differences\n"

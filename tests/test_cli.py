@@ -252,7 +252,7 @@ def test_unknown_override_key_exit_2(workdir, capsys):
 def test_predict_horizon_one_matches_one_step(workdir):
     assert main(["train", "--config", "golden_config.json"]) == 0
     assert main(["predict", "--config", "golden_config.json",
-                 "--network", "out/network.json", "--horizon", "1"]) == 0
+                 "--network", "out/network.json", "--set", "horizon=1"]) == 0
     lines = read("out/forecast.csv").decode().splitlines()
     assert len(lines) == 2
     predicted = float(lines[1].split(",")[1])
@@ -261,6 +261,15 @@ def test_predict_horizon_one_matches_one_step(workdir):
     std = standardize(raw)
     expected = one_step(net, std.values[-4:]) * std.scale + std.mean
     assert predicted == pytest.approx(expected, rel=1e-12)
+
+
+def test_predict_has_no_horizon_flag(workdir, capsys):
+    # the horizon is set like any other key, with --set horizon=N
+    with pytest.raises(SystemExit) as exit_info:
+        main(["predict", "--config", "golden_config.json",
+              "--network", "out/network.json", "--horizon", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --horizon 5" in capsys.readouterr().err
 
 
 def test_predict_mismatched_embedding_exit_2(workdir, capsys):

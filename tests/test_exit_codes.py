@@ -14,6 +14,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,10 +159,27 @@ def test_non_positive_horizon_flag_exit_2(workdir, fixtures_dir, horizon, messag
     shutil.copy(fixtures_dir / "golden" / "network.json", workdir / "out" / "network.json")
     before = set(workdir.rglob("*"))
     code, err = run_main(["predict", "--config", "golden_config.json",
-                          "--network", "out/network.json", "--horizon", horizon])
+                          "--network", "out/network.json", "--set", f"horizon={horizon}"])
     assert code == 2
     assert err == f"error: ConfigError: {message}\n"
     assert_contract("predict", code, err, workdir, before)
+
+
+def test_unconverged_eigenbasis_exit_1(workdir, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def unnormalized(c):
+        vals, vecs = eigh(c)
+        vecs[:, 0] *= 1.0 + 1e-8
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", unnormalized)
+    before = set(workdir.rglob("*"))
+    code, err = run_main(["decompose", "--config", "golden_config.json"])
+    assert code == 1
+    assert err.startswith("error: ConvergenceFailure: eigenvectors not orthonormal")
+    assert_contract("decompose", code, err, workdir, before)
+    assert set(workdir.rglob("*")) == before
 
 
 def test_predict_overflowing_original_units_exit_1(tmp_path, monkeypatch):

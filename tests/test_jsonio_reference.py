@@ -83,7 +83,7 @@ def test_csv_arrays_match_the_reference(tmp_path_factory, matrix):
 
 
 def test_csv_array_spanning_several_blocks_matches_the_reference(tmp_path):
-    rows = max(3 * jsonio._BLOCK_ROWS, 3 * jsonio._BLOCK_CELLS // 9) + 5
+    rows = max(3 * 256, 3 * jsonio._BLOCK_CELLS // 9) + 5
     matrix = np.random.default_rng(0).standard_normal((rows, 9))
     assert_same_csv(tmp_path, lambda: matrix)
     assert_same_csv(tmp_path, lambda: (list(row) for row in matrix))
@@ -165,13 +165,13 @@ def test_json_rejects_zero_dimensional_arrays_like_the_reference():
 # -- non-finite values -----------------------------------------------------------
 
 def late_bad_rows(bad):
-    """Rows whose one non-finite cell comes after several written blocks."""
-    n = 3 * jsonio._BLOCK_ROWS
+    """Rows whose one non-finite cell comes after several hundred written rows."""
+    n = 3 * 256
     return [(i, float(i) / 7.0) for i in range(n)] + [(n, bad), (n + 1, 1.0)]
 
 
 def late_bad_matrix(bad):
-    matrix = np.ones((3 * jsonio._BLOCK_ROWS, 4))
+    matrix = np.ones((3 * 256, 4))
     matrix[-2, 1] = bad
     matrix[-1, 0] = -bad
     return matrix

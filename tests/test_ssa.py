@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssaforecast import ssa
 from ssaforecast.benchmark import two_sine_benchmark
-from ssaforecast.errors import BadComponentCount, DimensionMismatch, WindowTooLarge
+from ssaforecast.errors import (
+    BadComponentCount,
+    ConvergenceFailure,
+    DimensionMismatch,
+    WindowTooLarge,
+)
 from ssaforecast.rng import SplitMix64
 from ssaforecast.series import standardize
 from ssaforecast.ssa import (
@@ -417,3 +423,35 @@ def test_pipeline_matches_naive_oracle():
         window = 1 + int(rng.below(min(6, n // 2)))
         x = standardize(rng.normals(n)).values
         assert_pipeline_matches_oracle(x, window)
+
+
+# -- health checks ---------------------------------------------------------------
+
+def scale_one_column(vals, vecs):
+    vecs = vecs.copy()
+    vecs[:, 1] *= 1.0 + 1e-8
+    return vals, vecs
+
+
+@pytest.mark.parametrize("change, message", [
+    (scale_one_column, "eigenvectors not orthonormal"),
+    (lambda vals, vecs: (vals + 1e-6, vecs), "eigenpair residual too large"),
+    # inside the residual bound, but added 35 times over in the sum
+    (lambda vals, vecs: (vals + 0.95e-9 * np.max(np.abs(vals)), vecs),
+     "eigenvalue sum deviates from trace"),
+], ids=["orthonormality", "residual", "trace"])
+def test_eigendecompose_check_raises(monkeypatch, change, message):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda c: change(*eigh(c)))
+    with pytest.raises(ConvergenceFailure, match=message):
+        decompose(two_sine_benchmark(600, 0), 35)
+
+
+def test_completeness_check_raises(monkeypatch):
+    def one_cell_off(pcs, eigvecs, out):
+        _reconstruct_all(pcs, eigvecs, out)
+        out[300, 0] += 1e-6
+
+    monkeypatch.setattr(ssa, "_reconstruct_all", one_cell_off)
+    with pytest.raises(ConvergenceFailure, match="component sum fails to reproduce the series"):
+        decompose(two_sine_benchmark(600, 0), 35)
