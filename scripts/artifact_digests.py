@@ -18,7 +18,7 @@ in a reconstruction block of one column; and a decompose of
 blocks (``ssa.RECONSTRUCT_BLOCK``); a 300-step predict, whose forecast.csv is
 a table of 300 rows; and the JSON reader's failures: a config file and a
 network file holding ``{`` (exit 2 and exit 1) and a missing network file
-(exit 2).
+(exit 2); and a train with a negative patience (exit 2).
 
 Prints each artifact (by sha256), exit code, stdout and stderr that differs
 between the sides and exits 1 if any does; prints what it compared and exits
@@ -57,6 +57,7 @@ COMMANDS = (
     ["decompose", "--config", "broken.json"],
     ["predict", "--config", "golden_config.json", "--network", "broken.json"],
     ["predict", "--config", "golden_config.json", "--network", "missing.json"],
+    ["train", "--config", "golden_config.json", "--set", "patience=-1"],
 )
 
 

@@ -27,7 +27,8 @@ from . import curriculum as cur
 from . import forecast as fc
 from . import mlp, ssa
 from .config import RunConfig, load_config, read_json
-from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, RuntimeFailure, ValidationError
+from .errors import (ConfigError, DimensionMismatch, DivergenceDetected, NonFiniteOutput,
+                     RuntimeFailure, ValidationError)
 from .jsonio import dumps, write_csv, write_json
 from .lanes import one_blas_thread
 from .series import check_embedding_size, load_csv, standardize
@@ -118,11 +119,10 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
     try:
         result = cur.curriculum_train(
             std, dec, config.embedding, counts, config.hidden_units, params,
-            config.seed, config.validation_fraction, config.early_stop_patience,
+            config.seed, config.validation_fraction, config.patience,
         )
-    except RuntimeFailure as exc:
-        if hasattr(exc, "stage_traces"):
-            _write_train_outputs(out, exc.stage_traces)
+    except DivergenceDetected as exc:
+        _write_train_outputs(out, exc.stage_traces)
         raise
     state, traces, total = result.final_state, result.stage_traces, result.total_epochs
     _write_train_outputs(out, traces)

@@ -1,10 +1,10 @@
 """Run configuration: one flat JSON file of typed keys.
 
 Unknown keys, ill-typed values, non-finite numbers and strings that break the
-text rule (`check_text`) are rejected here; each value's range is checked by
-the code that reads the value.  Individual keys may be overridden from the
-command line with ``--set key=value`` and every override is recorded in the
-config echo embedded in output files.
+text rule (`check_text`) are rejected here; each value's range, `patience`'s
+too, is checked by the code that reads the value.  Individual keys may be
+overridden from the command line with ``--set key=value`` and every override
+is recorded in the config echo embedded in output files.
 """
 
 from __future__ import annotations
@@ -67,13 +67,6 @@ class RunConfig:
                 raise ConfigError(f"key {name!r} must be finite, got {value}")
             if isinstance(value, str):
                 check_text(f"key {name!r}", value)
-        # the one range no library function checks where it reads the value
-        if self.patience < 0:
-            raise ConfigError("patience must be non-negative (0 disables early stopping)")
-
-    @property
-    def early_stop_patience(self) -> int | None:
-        return self.patience if self.patience > 0 else None
 
     def echo(self, overrides: dict | None = None) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

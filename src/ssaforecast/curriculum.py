@@ -66,7 +66,7 @@ def curriculum_train(
     params: StageParams,
     seed: int,
     fraction: float = DEFAULT_VALIDATION_FRACTION,
-    patience: int | None = None,
+    patience: int = 0,
     pin_split: bool = False,
 ) -> CurriculumResult:
     """Train one warm-started network through a stage per entry of `counts`:
@@ -135,16 +135,17 @@ def error_vs_pc_curve(
     gets the same total epoch budget in a single raw run.
     """
     dec = decompose(series, window)
+    ps = range(2, window + 1)
+    sweep = curriculum_train(series, dec, embedding, ps, hidden, params, seed, fraction)
+    base = curriculum_train(series, None, embedding, (None,), hidden,
+                            replace(params, epochs=sweep.total_epochs), seed, fraction)
+    # built after training, which checks `hidden` first
     x, y = build_embedding(series.values, embedding)
     batches = [Batch(x[i], y[i], hidden) for i in split_validation(y.size, fraction, seed)]
 
     def score(net) -> tuple[float, ...]:
         return tuple(mse(forward_batch(net, b), b.targets) for b in batches)
 
-    ps = range(2, window + 1)
-    sweep = curriculum_train(series, dec, embedding, ps, hidden, params, seed, fraction)
-    base = curriculum_train(series, None, embedding, (None,), hidden,
-                            replace(params, epochs=sweep.total_epochs), seed, fraction)
     base_train, base_val = score(base.final_state.network)
     return PcCurve(
         points=tuple(PcCurvePoint(p, *score(s.network)) for p, s in zip(ps, sweep.states)),

@@ -244,27 +244,18 @@ def _bracket(items: list[str], level: int, open_: str, close: str) -> str:
     return f"{open_}\n{child_pad}" + f",\n{child_pad}".join(items) + f"\n{pad}{close}"
 
 
-def _nest(items: list[str], shape: tuple[int, ...], level: int) -> str:
-    """The rendered innermost lists of an array, in row-major order, laid
-    out as _render lays out nested lists; `shape` leaves out the last axis."""
-    if not shape:
-        return items[0]
-    size = math.prod(shape[1:])
-    items = [_nest(items[i * size : (i + 1) * size], shape[1:], level + 1) for i in range(shape[0])]
-    return _bracket(items, level, "[", "]")
-
-
 def _render_floats(values: np.ndarray, level: int) -> str:
-    """A finite float array, laid out as _render lays out nested lists."""
+    """A finite 1-D or 2-D float array, laid out as _render lays out nested
+    lists."""
     *outer, inner = values.shape
     depth = level + len(outer)
     lines = (
         line
         for block in _float_blocks(values.reshape(math.prod(outer), inner))
-        for line in block[:-1].split("\n")
+        for line in block.splitlines()
     )
     rows = [_bracket(line.split(",") if line else [], depth, "[", "]") for line in lines]
-    return _nest(rows, tuple(outer), level)
+    return _bracket(rows, level, "[", "]") if outer else rows[0]
 
 
 def _render(obj, level: int) -> str:
@@ -277,7 +268,7 @@ def _render(obj, level: int) -> str:
         # every control character escaped, every other character as is
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim:
+        if obj.dtype.kind == "f" and obj.ndim in (1, 2):
             return _render_floats(_finite_float64(obj), level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -237,7 +237,7 @@ def train(
     epochs: int,
     lr: float,
     momentum: float,
-    patience: int | None,
+    patience: int,
 ) -> tuple[TrainState, list[TraceEntry]]:
     """Full-batch gradient descent on the pairs (inputs, targets), an (n, m)
     array and its n targets, split as (train_indices, validation_indices).
@@ -245,12 +245,14 @@ def train(
     Each epoch takes one step and then records (epoch, train MSE, validation
     MSE) at the new parameters.  Returns the state with the lowest validation
     MSE seen; training stops early after `patience` epochs without
-    improvement (patience=None runs the full budget), or immediately once the
+    improvement (patience=0 runs the full budget), or immediately once the
     training error hits exactly zero.  `net` is not modified, and the
     returned network is a copy that no later training touches.
 
-    Raises DivergenceDetected (carrying the partial trace) if the gradient,
-    the parameters after a step or the training error become non-finite.
+    Raises ConfigError for epochs < 1, lr <= 0, momentum outside [0, 1) or
+    patience < 0, and DivergenceDetected (carrying the partial trace) if the
+    gradient, the parameters after a step or the training error become
+    non-finite.
     """
     if epochs < 1:
         raise ConfigError("epochs must be at least 1")
@@ -258,6 +260,8 @@ def train(
         raise ConfigError("learning rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError("momentum must lie in [0, 1)")
+    if patience < 0:
+        raise ConfigError("patience must be non-negative (0 disables early stopping)")
     h, m = net.hidden_dim, net.input_dim
     x, y = pairs
     batch, val = (Batch(x[idx], y[idx], h) for idx in split)
@@ -301,7 +305,7 @@ def train(
                 stale = 0
             else:
                 stale += 1
-                if patience is not None and stale >= patience:
+                if patience and stale >= patience:
                     break
             if train_err == 0.0:
                 break

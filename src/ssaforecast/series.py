@@ -124,7 +124,7 @@ def load_csv(path, value_column: str, time_column: str) -> RawSeries:
 def standardize(raw) -> StandardizedSeries:
     """Shift to zero mean and scale to unit population variance (divide by N,
     so the zero-lag autocorrelation of the output is exactly 1)."""
-    values = raw.values if isinstance(raw, RawSeries) else _as_values(raw)
+    values = _as_values(raw)
     if values.size < 2:
         raise ValueError("need at least two samples")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -71,7 +71,7 @@ def test_warm_start_continuity(bench_series, counts):
         source = bench_series.values if p is None else partial_reconstruction(dec, p)
         pairs = build_embedding(source, m)
         split = split_validation(pairs[1].size, 0.10, seed + idx)
-        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
+        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, 0)
         assert tuple(trace) == result.stage_traces[idx]
         np.testing.assert_array_equal(state.network.flat, result.states[idx].network.flat)
         net = state.network
@@ -107,7 +107,7 @@ def test_pinned_split_is_drawn_once(bench_series, monkeypatch):
         source = bench_series.values if p is None else partial_reconstruction(dec, p)
         pairs = build_embedding(source, m)
         split = split_validation(pairs[1].size, 0.10, seed)
-        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, None)
+        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, 0)
         assert tuple(trace) == result.stage_traces[idx]
         net = state.network
 
@@ -156,8 +156,8 @@ def test_full_reconstruction_trains_like_raw(bench_series):
     pairs_full = build_embedding(full, m)
     pairs_raw = build_embedding(bench_series.values, m)
     split = split_validation(pairs_raw[1].size, 0.10, 11)
-    state_full, _ = train(net, pairs_full, split, 80, 0.05, 0.9, None)
-    state_raw, _ = train(net, pairs_raw, split, 80, 0.05, 0.9, None)
+    state_full, _ = train(net, pairs_full, split, 80, 0.05, 0.9, 0)
+    state_raw, _ = train(net, pairs_raw, split, 80, 0.05, 0.9, 0)
     assert state_full.train_mse == pytest.approx(state_raw.train_mse, rel=1e-5)
     assert state_full.validation_mse == pytest.approx(state_raw.validation_mse, rel=1e-5)
 

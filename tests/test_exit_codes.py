@@ -296,12 +296,17 @@ RULES = {
     },
     "hidden_units=0": dict.fromkeys(
         TRAINING, "BadDimensions: dimensions must be positive, got m=4, H=0"),
+    "hidden_units=-1": dict.fromkeys(
+        TRAINING, "BadDimensions: dimensions must be positive, got m=4, H=-1"),
     "pc_step=0": dict.fromkeys(TRAINING, "BadStep: pc_step must be at least 1, got 0"),
     "stage_epochs=0": dict.fromkeys(TRAINING, "ConfigError: epochs must be at least 1"),
     "stage_lr=0": dict.fromkeys(TRAINING, "ConfigError: learning rate must be positive"),
     "stage_momentum=1": dict.fromkeys(TRAINING, "ConfigError: momentum must lie in [0, 1)"),
     "validation_fraction=1": dict.fromkeys(
         TRAINING, "BadFraction: fraction must lie in (0, 1), got 1.0"),
+    "patience=-1": dict.fromkeys(
+        ("train", "baseline"),
+        "ConfigError: patience must be non-negative (0 disables early stopping)"),
     "horizon=0": {"predict": "ConfigError: horizon must be at least 1"},
     "compare_horizon=0": {"compare": "BadHorizon: holdout horizon 0 leaves too little of the "
                                      "120 samples for training with embedding 4"},

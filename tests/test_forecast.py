@@ -41,7 +41,7 @@ def test_trained_copy_net_approximates_last_element():
     pairs = (inputs, inputs[:, -1])
     split = split_validation(inputs.shape[0], 0.10, 17)
     state, _ = train(init_network(3, 8, seed=2), pairs, split, epochs=5000, lr=0.1, momentum=0.9,
-                     patience=None)
+                     patience=0)
     w = np.array([0.3, -0.5, 0.8])
     assert abs(one_step(state.network, w) - 0.8) < 1e-2
 

@@ -395,7 +395,7 @@ def test_train_already_optimal_returns_immediately():
 def test_train_linear_target_converges():
     pairs, split = make_split(220, 1, seed=6, target_fn=lambda x: 0.5 * x[0])
     net = init_network(1, 4, seed=0)
-    state, trace = train(net, pairs, split, epochs=2000, lr=0.05, momentum=0.9, patience=None)
+    state, trace = train(net, pairs, split, epochs=2000, lr=0.05, momentum=0.9, patience=0)
     assert state.train_mse < 1e-4
 
 
@@ -412,7 +412,7 @@ def test_train_monotone_descent_on_quadratic():
     # bias, making the loss exactly quadratic (L = 2); lr < 1/L
     pairs, split = make_split(100, 2, seed=12)
     state, trace = train(zero_network(2, 3), pairs, split, epochs=60, lr=0.4, momentum=0.0,
-                         patience=None)
+                         patience=0)
     errors = [e.train_mse for e in trace]
     assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
 
@@ -420,15 +420,15 @@ def test_train_monotone_descent_on_quadratic():
 def test_train_trace_bitwise_deterministic():
     pairs, split = make_split(120, 3, seed=5)
     net = init_network(3, 6, seed=7)
-    _, t1 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=None)
-    _, t2 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=None)
+    _, t1 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=0)
+    _, t2 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=0)
     assert t1 == t2
 
 
 def test_train_returns_best_validation_state():
     pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
     net = init_network(2, 8, seed=3)
-    state, trace = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
+    state, trace = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=0)
     assert state.validation_mse <= min(e.validation_mse for e in trace)
 
 
@@ -436,7 +436,7 @@ def test_train_leaves_its_network_unchanged():
     pairs, split = make_split(120, 3, seed=5)
     net = init_network(3, 6, seed=7)
     before = net.flat.copy()
-    state, trace = train(net, pairs, split, epochs=80, lr=0.05, momentum=0.9, patience=None)
+    state, trace = train(net, pairs, split, epochs=80, lr=0.05, momentum=0.9, patience=0)
     np.testing.assert_array_equal(net.flat, before)
     assert state.epoch > 1 and not np.shares_memory(state.network.flat, net.flat)
 
@@ -447,7 +447,7 @@ def test_best_network_survives_warm_started_training():
     past the best epoch leave it as it was."""
     pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
     state, trace = train(init_network(2, 8, seed=3), pairs, split, epochs=400, lr=0.1,
-                         momentum=0.9, patience=None)
+                         momentum=0.9, patience=0)
     assert state.epoch < len(trace)  # the parameters moved on after the best epoch
     snapshot = state.network.flat.copy()
     (inputs, targets), (_, validation) = pairs, split
@@ -463,7 +463,7 @@ def test_best_network_survives_warm_started_training():
 def test_train_early_stopping_cuts_budget():
     pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
     net = init_network(2, 8, seed=3)
-    _, trace_full = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=None)
+    _, trace_full = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=0)
     _, trace_cut = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=10)
     assert len(trace_cut) <= len(trace_full)
 

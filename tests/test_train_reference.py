@@ -86,7 +86,7 @@ def named_split(pairs, split):
 
 
 def assert_runs_agree(net, pairs, split, epochs, lr, momentum, patience, rtol=TRACE_RTOL):
-    state, trace = train(net, pairs, split, epochs, lr, momentum, patience)
+    state, trace = train(net, pairs, split, epochs, lr, momentum, patience or 0)
     ref_state, ref_trace = reference_train(net, named_split(pairs, split), epochs, lr, momentum,
                                            patience)
     # control flow: exactly the same epochs, stop and best epoch
@@ -200,7 +200,7 @@ def failure(run):
 
 def assert_same_failure(net, pairs, split, epochs, lr, momentum, patience=None):
     kind, message, trace = failure(lambda: train(net, pairs, split, epochs, lr, momentum,
-                                                 patience))
+                                                 patience or 0))
     want = failure(lambda: reference_train(net, named_split(pairs, split), epochs, lr, momentum,
                                            patience))
     assert (kind, message) == want[:2]
@@ -293,7 +293,7 @@ def test_trainer_matches_allocating_trainer_bitwise(m, h, n, seed, scale, weight
     net = random_network(m, h, rng)
     net = replace(net, hidden_weights=weight * net.hidden_weights)
     before = net.flat.copy()
-    got = outcome(lambda: train(net, pairs, split, epochs, lr, momentum, patience))
+    got = outcome(lambda: train(net, pairs, split, epochs, lr, momentum, patience or 0))
     want = outcome(lambda: allocating_train(net, named_split(pairs, split), epochs, lr, momentum,
                                             patience))
     assert got == want
