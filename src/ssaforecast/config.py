@@ -1,10 +1,10 @@
 """Run configuration: one flat JSON file of typed keys.
 
 Unknown keys, ill-typed values, non-finite numbers and strings that break the
-text rule (`check_text`) are rejected here; each value's range, `patience`'s
-too, is checked by the code that reads the value.  Individual keys may be
-overridden from the command line with ``--set key=value`` and every override
-is recorded in the config echo embedded in output files.
+text rule (`check_text`) are rejected here; each value's range is checked by
+the code that reads the value.  Individual keys may be overridden from the
+command line with ``--set key=value`` and every override is recorded in the
+config echo embedded in output files.
 """
 
 from __future__ import annotations

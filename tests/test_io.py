@@ -7,9 +7,6 @@ import pytest
 from ssaforecast.config import _SCHEMA, RunConfig, load_config
 from ssaforecast.errors import ConfigError
 from ssaforecast.jsonio import dumps, format_float, write_csv, write_json
-from ssaforecast.mlp import init_network, train
-from ssaforecast.rng import SplitMix64
-from ssaforecast.series import build_embedding, split_validation
 
 
 # -- jsonio ---------------------------------------------------------------------
@@ -147,21 +144,3 @@ def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
 
-
-def noise_training_run():
-    """A network and a noise series' pairs and split: the validation error
-    stops improving long before a 300-epoch budget runs out."""
-    pairs = build_embedding(SplitMix64(3).normals(80), 3)
-    return init_network(3, 4, seed=3), pairs, split_validation(pairs[1].size, 0.10, 3)
-
-
-def test_patience_zero_disables_early_stop():
-    net, pairs, split = noise_training_run()
-    _, full = train(net, pairs, split, epochs=300, lr=0.05, momentum=0.9, patience=0)
-    _, cut = train(net, pairs, split, epochs=300, lr=0.05, momentum=0.9, patience=1)
-    assert len(full) == 300 > len(cut)
-
-
-def test_train_rejects_negative_patience():
-    with pytest.raises(ConfigError, match=r"patience must be non-negative \(0 disables"):
-        train(*noise_training_run(), epochs=300, lr=0.05, momentum=0.9, patience=-1)

@@ -6,6 +6,7 @@ import pytest
 
 from ssaforecast.errors import (
     BadDimensions,
+    ConfigError,
     DimensionMismatch,
     DivergenceDetected,
     EmptyBatch,
@@ -466,6 +467,23 @@ def test_train_early_stopping_cuts_budget():
     _, trace_full = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=0)
     _, trace_cut = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=10)
     assert len(trace_cut) <= len(trace_full)
+
+
+def test_patience_zero_disables_early_stop():
+    # on a noise series the validation error stops improving long before
+    # the 300-epoch budget runs out
+    pairs, split = make_split(80, 3, seed=3)
+    net = init_network(3, 4, seed=3)
+    _, full = train(net, pairs, split, epochs=300, lr=0.05, momentum=0.9, patience=0)
+    _, cut = train(net, pairs, split, epochs=300, lr=0.05, momentum=0.9, patience=1)
+    assert len(full) == 300 > len(cut)
+
+
+def test_train_rejects_negative_patience():
+    pairs, split = make_split(80, 3, seed=3)
+    with pytest.raises(ConfigError, match=r"patience must be non-negative \(0 disables"):
+        train(init_network(3, 4, seed=3), pairs, split, epochs=300, lr=0.05, momentum=0.9,
+              patience=-1)
 
 
 # -- serialization ------------------------------------------------------------------
