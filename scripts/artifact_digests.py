@@ -18,7 +18,12 @@ in a reconstruction block of one column; and a decompose of
 blocks (``ssa.RECONSTRUCT_BLOCK``); a 300-step predict, whose forecast.csv is
 a table of 300 rows; and the JSON reader's failures: a config file and a
 network file holding ``{`` (exit 2 and exit 1) and a missing network file
-(exit 2); and a train with a negative patience (exit 2).
+(exit 2); a train with a negative patience (exit 2); and three trains that
+write trace.csv along the other paths of the trace: one that diverges at
+epoch 23 (exit 1, a 22-row partial trace), a baseline of one 320-epoch
+stage, and one with a budget of 10^9 epochs per stage that early stopping
+ends after 38,674 epochs in all, which a trainer that preallocated its
+budget could not run.
 
 Prints each artifact (by sha256), exit code, stdout and stderr that differs
 between the sides and exits 1 if any does; prints what it compared and exits
@@ -58,6 +63,12 @@ COMMANDS = (
     ["predict", "--config", "golden_config.json", "--network", "broken.json"],
     ["predict", "--config", "golden_config.json", "--network", "missing.json"],
     ["train", "--config", "golden_config.json", "--set", "patience=-1"],
+    ["train", "--config", "golden_config.json", "--set", "stage_lr=1e6",
+     "--set", "stage_momentum=0", "--set", "output_dir=diverged"],
+    ["train", "--config", "golden_config.json", "--mode", "baseline",
+     "--set", "output_dir=baseline"],
+    ["train", "--config", "golden_config.json", "--set", "stage_epochs=1000000000",
+     "--set", "patience=200", "--set", "output_dir=unbounded"],
 )
 
 

@@ -79,11 +79,17 @@ def cmd_decompose(config: RunConfig, echo: dict) -> int:
 
 
 def _write_train_outputs(out: Path, traces) -> None:
-    # one float array: %.17g writes the integral stage and epoch as integers
-    table = np.array(
-        [(stage, *entry) for stage, trace in enumerate(traces, start=1) for entry in trace],
-        dtype=np.float64,
-    ).reshape(-1, 4)
+    # one float table filled in place, a block of rows per stage's (k, 2)
+    # trace: stage, epoch 1..k, then the two errors; %.17g writes the
+    # integral stage and epoch as integers
+    table = np.empty((sum(map(len, traces)), 4))
+    start = 0
+    for stage, trace in enumerate(traces, start=1):
+        rows = table[start : start + len(trace)]
+        rows[:, 0] = stage
+        rows[:, 1] = np.arange(1, len(trace) + 1)
+        rows[:, 2:] = trace
+        start += len(trace)
     write_csv(out / "trace.csv", ["stage", "epoch", "train_mse", "validation_mse"], table)
 
 
@@ -164,7 +170,7 @@ def cmd_predict(config: RunConfig, echo: dict, network_path: str) -> int:
     except NonFiniteOutput as exc:
         write_json(
             out / "forecast_partial.json",
-            {"error": str(exc), "partial_standardized": list(exc.partial), "config_echo": echo},
+            {"error": str(exc), "partial_standardized": exc.partial, "config_echo": echo},
         )
         raise
     # the time axis extended at the source spacing

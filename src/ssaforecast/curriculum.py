@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BadHorizon, BadStep, ConfigError, DivergenceDetected, NonFiniteOutput
 from .forecast import forecast_series
 from .lanes import run_side_by_side
-from .mlp import Batch, TraceEntry, TrainState, forward_batch, init_network, mse, train
+from .mlp import Batch, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, split_validation, standardize
 from .ssa import Decomposition, decompose, partial_reconstruction
 
@@ -45,8 +45,10 @@ def stage_counts(window: int, pc_step: int) -> tuple[int | None, ...]:
 
 @dataclass(frozen=True)
 class CurriculumResult:
-    states: tuple[TrainState, ...]  # the state each stage hands on
-    stage_traces: tuple[tuple[TraceEntry, ...], ...]
+    """Per stage: the state it hands on and its (k, 2) trace from `train`."""
+
+    states: tuple[TrainState, ...]
+    stage_traces: tuple[np.ndarray, ...]
 
     @property
     def final_state(self) -> TrainState:
@@ -83,7 +85,7 @@ def curriculum_train(
     """
     net = init_network(embedding, hidden, seed)
     states: list[TrainState] = []
-    traces: list[tuple[TraceEntry, ...]] = []
+    traces: list[np.ndarray] = []
     for idx, p in enumerate(counts):
         source = series.values if p is None else partial_reconstruction(dec, p)
         pairs = build_embedding(source, embedding)
@@ -94,11 +96,11 @@ def curriculum_train(
                                  patience)
         except DivergenceDetected as exc:
             # keep every completed stage alongside the failing stage's prefix
-            exc.stage_traces = tuple(traces) + (tuple(exc.trace),)
+            exc.stage_traces = (*traces, exc.trace)
             raise
         net = state.network
         states.append(state)
-        traces.append(tuple(trace))
+        traces.append(trace)
     return CurriculumResult(tuple(states), tuple(traces))
 
 

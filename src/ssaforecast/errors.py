@@ -114,18 +114,19 @@ class EmptyBatch(RuntimeFailure):
 
 
 class DivergenceDetected(RuntimeFailure):
-    """Training error became non-finite; carries the trace up to the failure."""
+    """Training became non-finite; carries `trace`, the errors of the epochs
+    before the failing one as the (k, 2) float64 array `mlp.train` returns."""
 
-    def __init__(self, message: str, trace=None):
-        self.trace = list(trace) if trace is not None else []
+    def __init__(self, message: str, trace):
+        self.trace = trace
         super().__init__(message)
 
 
 class NonFiniteOutput(RuntimeFailure):
-    """Closed-loop iteration produced a non-finite value; carries the finite
-    predictions made before the failure."""
+    """Closed-loop iteration produced a non-finite value; carries `partial`,
+    a float64 copy of the finite predictions made before the failure, if any."""
 
-    def __init__(self, message: str, partial=None):
-        self.partial = list(partial) if partial is not None else []
+    def __init__(self, message: str, partial=()):
+        self.partial = partial
         super().__init__(message)
 

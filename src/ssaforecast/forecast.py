@@ -44,9 +44,8 @@ def multi_step_predict(net: Network, seed_window, horizon: int) -> np.ndarray:
         for i in range(horizon):
             y = float(forward_batch(net, batch)[0])
             if not math.isfinite(y):
-                raise NonFiniteOutput(
-                    f"iteration produced a non-finite value at step {i + 1}", partial=out[:i]
-                )
+                raise NonFiniteOutput(f"iteration produced a non-finite value at step {i + 1}",
+                                      partial=out[:i].copy())
             out[i] = y
             window[:-1] = window[1:]
             window[-1] = y
@@ -65,7 +64,7 @@ def forecast_series(net: Network, series: StandardizedSeries, horizon: int) -> F
     overflow = np.flatnonzero(~np.isfinite(predictions))
     if overflow.size:
         raise NonFiniteOutput(f"forecast step {overflow[0] + 1} overflows in original units",
-                              partial=standardized[: overflow[0]])
+                              partial=standardized[: overflow[0]].copy())
     return ForecastResult(
         horizon=horizon,
         predictions=predictions,

@@ -5,8 +5,8 @@ with best-on-validation early stopping."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,12 +208,6 @@ class TrainState:
     validation_mse: float
 
 
-class TraceEntry(NamedTuple):
-    epoch: int
-    train_mse: float
-    validation_mse: float
-
-
 def gd_step(
     theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float
 ) -> None:
@@ -238,21 +232,23 @@ def train(
     lr: float,
     momentum: float,
     patience: int,
-) -> tuple[TrainState, list[TraceEntry]]:
+) -> tuple[TrainState, np.ndarray]:
     """Full-batch gradient descent on the pairs (inputs, targets), an (n, m)
     array and its n targets, split as (train_indices, validation_indices).
 
-    Each epoch takes one step and then records (epoch, train MSE, validation
-    MSE) at the new parameters.  Returns the state with the lowest validation
-    MSE seen; training stops early after `patience` epochs without
-    improvement (patience=0 runs the full budget), or immediately once the
-    training error hits exactly zero.  `net` is not modified, and the
-    returned network is a copy that no later training touches.
+    Each epoch takes one step and then records the training and validation
+    MSE at the new parameters.  Returns the state with the lowest validation
+    MSE seen and the trace, a C-contiguous (k, 2) float64 array whose row
+    e - 1 holds epoch e's (train MSE, validation MSE).  Training stops early
+    after `patience` epochs without improvement (patience=0 runs the full
+    budget), or immediately once the training error hits exactly zero.  `net`
+    is not modified, and the returned network is a copy that no later
+    training touches.
 
     Raises ConfigError for epochs < 1, lr <= 0, momentum outside [0, 1) or
-    patience < 0, and DivergenceDetected (carrying the partial trace) if the
-    gradient, the parameters after a step or the training error become
-    non-finite.
+    patience < 0, and DivergenceDetected, carrying the trace of the epochs
+    before the failing one, if the gradient, the parameters after a step or
+    the training error become non-finite.
     """
     if epochs < 1:
         raise ConfigError("epochs must be at least 1")
@@ -271,7 +267,10 @@ def train(
     work = Network._from_flat(theta, h, m)
     velocity = np.zeros_like(theta)
     best = np.empty_like(theta)
-    trace: list[TraceEntry] = []
+    # each epoch's (train MSE, validation MSE), grown as it goes, since the
+    # budget may be far beyond the epochs early stopping runs; viewed as the
+    # (k, 2) trace only on the way out, as an array cannot grow once viewed
+    record = array("d")
     best_epoch = 0
     stale = 0
     # overflow here is not an error condition: it surfaces as a non-finite
@@ -287,18 +286,17 @@ def train(
                 # a non-finite gradient always makes the step non-finite
                 # (theta and v were finite), so it is looked for only here
                 cause = "parameters" if np.isfinite(grad).all() else "gradient"
-                raise DivergenceDetected(
-                    f"{cause} became non-finite at epoch {epoch}", trace=trace
-                ) from None
+                raise DivergenceDetected(f"{cause} became non-finite at epoch {epoch}",
+                                         np.frombuffer(record).reshape(-1, 2)) from None
             train_err, grad = backprop_gradient(work, batch)
             if not math.isfinite(train_err):
-                raise DivergenceDetected(
-                    f"training error became non-finite at epoch {epoch}", trace=trace
-                )
+                raise DivergenceDetected(f"training error became non-finite at epoch {epoch}",
+                                         np.frombuffer(record).reshape(-1, 2))
             err = forward_batch(work, val)
             err -= val.targets
             val_err = _mean_square(err, out=err)
-            trace.append(TraceEntry(epoch, train_err, val_err))
+            record.append(train_err)
+            record.append(val_err)
             if best_epoch == 0 or val_err < best_val:
                 best_epoch, best_train, best_val = epoch, train_err, val_err
                 best[:] = theta
@@ -309,7 +307,8 @@ def train(
                     break
             if train_err == 0.0:
                 break
-    return TrainState(Network._from_flat(best, h, m), best_epoch, best_train, best_val), trace
+    state = TrainState(Network._from_flat(best, h, m), best_epoch, best_train, best_val)
+    return state, np.frombuffer(record).reshape(-1, 2)
 
 
 def network_to_dict(net: Network) -> dict:

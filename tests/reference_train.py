@@ -7,10 +7,11 @@ The functions below are that loop, its update step, its gradient, its
 forward pass (hidden biases added after the matmul, not folded into it) and
 its error measure verbatim, renamed with a ``reference_`` prefix and made to
 call one another.  The gradient and velocity keep their four named arrays
-(`ReferenceGradient`), and the state record keeps the learning rate, momentum
-and velocity (`ReferenceState`).  They share only the Network class, the
-trace entry and the error classes with ssaforecast.mlp, so tests can check
-the lean trainer against this loop.
+(`ReferenceGradient`), the state record keeps the learning rate, momentum
+and velocity (`ReferenceState`), and each epoch is recorded as a
+`ReferenceEntry`.  They share only the Network class, the state class and the
+error classes with ssaforecast.mlp, so tests can check the lean trainer
+against this loop.
 
 The ``allocating_`` functions at the end are the lean trainer's arithmetic
 without its prepared batches: the (H, n) layout (inputs stored transposed,
@@ -34,7 +35,15 @@ from ssaforecast.errors import (
     EmptyInput,
     LengthMismatch,
 )
-from ssaforecast.mlp import Network, TraceEntry, TrainState, _views
+from ssaforecast.mlp import Network, TrainState, _views
+
+
+class ReferenceEntry(NamedTuple):
+    """One epoch of a reference trainer's trace."""
+
+    epoch: int
+    train_mse: float
+    validation_mse: float
 
 
 class ReferenceGradient(NamedTuple):
@@ -132,7 +141,7 @@ def reference_train(
     lr: float = 0.01,
     momentum: float = 0.9,
     patience: int | None = 200,
-) -> tuple[ReferenceState, list[TraceEntry]]:
+) -> tuple[ReferenceState, list[ReferenceEntry]]:
     """Full-batch gradient descent on the training pairs.
 
     Each epoch takes one step and then records (epoch, train MSE, validation
@@ -159,7 +168,7 @@ def reference_train(
         momentum=momentum,
         velocity=ReferenceGradient.zeros_like(net),
     )
-    trace: list[TraceEntry] = []
+    trace: list[ReferenceEntry] = []
     best: ReferenceState | None = None
     stale = 0
     for epoch in range(1, epochs + 1):
@@ -186,7 +195,7 @@ def reference_train(
                 reference_forward_batch(state.network, split.validation.inputs), split.validation.targets
             )
         state = replace(state, epoch=epoch, train_mse=train_err, validation_mse=val_err)
-        trace.append(TraceEntry(epoch, train_err, val_err))
+        trace.append(ReferenceEntry(epoch, train_err, val_err))
         if best is None or val_err < best.validation_mse:
             best = state
             stale = 0
@@ -293,7 +302,7 @@ def allocating_train(
     lr: float = 0.01,
     momentum: float = 0.9,
     patience: int | None = 200,
-) -> tuple[TrainState, list[TraceEntry]]:
+) -> tuple[TrainState, list[ReferenceEntry]]:
     """Full-batch gradient descent on the training pairs.
 
     Each epoch takes one step and then records (epoch, train MSE, validation
@@ -313,7 +322,7 @@ def allocating_train(
         raise ValueError("momentum must lie in [0, 1)")
     inputs, targets = split.train.inputs, split.train.targets
     velocity = np.zeros_like(net.flat)
-    trace: list[TraceEntry] = []
+    trace: list[ReferenceEntry] = []
     best_epoch = 0
     stale = 0
     # overflow here is not an error condition: it surfaces as a non-finite
@@ -341,7 +350,7 @@ def allocating_train(
             val_err = allocating_mse(
                 allocating_forward_batch(net, split.validation.inputs), split.validation.targets
             )
-            trace.append(TraceEntry(epoch, train_err, val_err))
+            trace.append(ReferenceEntry(epoch, train_err, val_err))
             if best_epoch == 0 or val_err < best_val:
                 best_epoch, best_train, best_val = epoch, train_err, val_err
                 best_net = net

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssaforecast.cli import main
+from ssaforecast.cli import _write_train_outputs, main
 from ssaforecast.mlp import init_network, network_from_dict, network_to_dict
 from ssaforecast.series import load_csv, standardize
 from test_mlp import one_step
@@ -377,6 +377,22 @@ def test_unusable_series_exit_1_before_work(workdir, capsys, command, text, erro
     Path("data.csv").write_text(text)
     assert run_before_work(command, "input_csv=data.csv", 4) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_trace_table_numbers_stages_and_epochs(tmp_path):
+    """trace.csv from stage traces of 3, 0 and 2 epochs: stages keep their
+    1-based numbers, epochs count from 1 within each stage and the empty
+    stage writes no row."""
+    traces = (np.array([[0.5, 0.25], [0.125, 1.5], [3.0, 2.0]]), np.empty((0, 2)),
+              np.array([[0.1, 1e-20], [7.0, 1e300]]))
+    _write_train_outputs(tmp_path, traces)
+    assert read(tmp_path / "trace.csv") == (
+        b"stage,epoch,train_mse,validation_mse\n"
+        b"1,1,0.5,0.25\n"
+        b"1,2,0.125,1.5\n"
+        b"1,3,3,2\n"
+        b"3,1,0.10000000000000001,9.9999999999999995e-21\n"
+        b"3,2,7,1.0000000000000001e+300\n")
 
 
 def test_divergence_exit_1_with_partial_trace(workdir, capsys):

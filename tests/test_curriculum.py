@@ -72,7 +72,7 @@ def test_warm_start_continuity(bench_series, counts):
         pairs = build_embedding(source, m)
         split = split_validation(pairs[1].size, 0.10, seed + idx)
         state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, 0)
-        assert tuple(trace) == result.stage_traces[idx]
+        assert np.array_equal(trace, result.stage_traces[idx])
         np.testing.assert_array_equal(state.network.flat, result.states[idx].network.flat)
         net = state.network
     assert result.final_state is result.states[-1]
@@ -108,7 +108,7 @@ def test_pinned_split_is_drawn_once(bench_series, monkeypatch):
         pairs = build_embedding(source, m)
         split = split_validation(pairs[1].size, 0.10, seed)
         state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, 0)
-        assert tuple(trace) == result.stage_traces[idx]
+        assert np.array_equal(trace, result.stage_traces[idx])
         net = state.network
 
 
@@ -116,7 +116,8 @@ def test_curriculum_bitwise_reproducible(bench_series):
     counts = stage_counts(12, 4)
     a = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
     b = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
-    assert a.stage_traces == b.stage_traces
+    assert len(a.stage_traces) == len(b.stage_traces) == len(counts)
+    assert all(map(np.array_equal, a.stage_traces, b.stage_traces))
     np.testing.assert_array_equal(
         a.final_state.network.hidden_weights, b.final_state.network.hidden_weights
     )
@@ -272,7 +273,8 @@ def test_divergence_carries_stage_traces(bench_series):
         curriculum_train(bench_series, decompose(bench_series, 12), 5, stage_counts(12, 6), 6,
                          StageParams(50, 1e6, 0.0), seed=0)
     assert hasattr(err.value, "stage_traces")
-    assert isinstance(err.value.stage_traces[-1], tuple)
+    assert err.value.stage_traces[-1] is err.value.trace
+    assert err.value.trace.ndim == 2 and err.value.trace.shape[1] == 2
 
 
 def test_comparison_failure_carries_completed_seeds():

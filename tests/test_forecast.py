@@ -5,7 +5,7 @@ from ssaforecast.errors import ConfigError, DimensionMismatch, NonFiniteOutput
 from ssaforecast.forecast import forecast_series, multi_step_predict
 from ssaforecast.mlp import Network, init_network, train
 from ssaforecast.rng import SplitMix64
-from ssaforecast.series import build_embedding, split_validation, standardize
+from ssaforecast.series import StandardizedSeries, build_embedding, split_validation, standardize
 from test_mlp import one_step
 
 
@@ -81,12 +81,28 @@ def test_six_year_monthly_horizon():
     assert preds.shape == (72,)
 
 
+def assert_partial(exc, want):
+    """`exc.partial` holds `want`, the finite predictions before the failure,
+    as a float64 array of its own, not a view of the horizon's buffer."""
+    assert exc.partial.dtype == np.float64 and exc.partial.base is None
+    np.testing.assert_array_equal(exc.partial, want)
+
+
 def test_non_finite_output_carries_partial():
     net = Network(np.array([[1.0]]), np.zeros(1), np.array([[1e308]]), np.array([1e308]))
     with pytest.raises(NonFiniteOutput) as err:
         multi_step_predict(net, np.array([1e-3]), 5)
-    assert len(err.value.partial) == 1
-    assert np.isfinite(err.value.partial[0])
+    assert_partial(err.value, [1e308 * np.tanh(1e-3) + 1e308])
+
+
+def test_overflow_in_original_units_carries_standardized_partial():
+    # y = tanh(x) + 1 from x = -100 gives 0, 1, 1.76...; at scale 1.5e308
+    # the third step overflows
+    net = Network(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.array([1.0]))
+    series = StandardizedSeries(np.array([0.0, -100.0]), mean=0.0, scale=1.5e308)
+    with pytest.raises(NonFiniteOutput, match="forecast step 3 overflows") as err:
+        forecast_series(net, series, 5)
+    assert_partial(err.value, [0.0, 1.0])
 
 
 def test_multi_step_rejects_bad_horizon_and_window():

@@ -388,8 +388,8 @@ def test_train_already_optimal_returns_immediately():
     pairs, split = make_split(60, 3, seed=2, target_fn=lambda x: 0.0)
     state, trace = train(zero_network(3, 4), pairs, split, epochs=50, lr=0.1, momentum=0.9,
                          patience=200)
-    assert len(trace) == 1
-    assert trace[0].train_mse == 0.0
+    assert trace.shape == (1, 2)
+    assert trace[0, 0] == 0.0
     assert state.train_mse == 0.0
 
 
@@ -405,7 +405,30 @@ def test_train_divergence_detected():
     net = init_network(2, 4, seed=1)
     with pytest.raises(DivergenceDetected) as err:
         train(net, pairs, split, epochs=200, lr=1e6, momentum=0.0, patience=200)
-    assert isinstance(err.value.trace, list)
+    # the epochs before the failing one
+    failed = int(str(err.value).rsplit(" ", 1)[1])
+    trace = err.value.trace
+    assert trace.shape == (failed - 1, 2) and trace.dtype == np.float64
+    assert np.isfinite(trace).all()
+
+
+def test_trace_costs_at_most_32_bytes_an_epoch():
+    """The trace is one float64 pair an epoch, grown as training goes: the
+    peak memory of a 20,000-epoch run exceeds a 2,000-epoch run's by at most
+    32 bytes for each extra epoch (a Python record per epoch costs about
+    160), and the trace is a C-contiguous (k, 2) float64 array."""
+    pairs, split = make_split(24, 2, seed=3)
+    net = init_network(2, 3, seed=1)
+    traces, peaks = {}, {}
+    for epochs in (2000, 20000):
+        def run():
+            traces[epochs] = train(net, pairs, split, epochs=epochs, lr=0.01, momentum=0.9,
+                                   patience=0)[1]
+        peaks[epochs] = pass_peak_bytes(run)
+    trace = traces[20000]
+    assert trace.shape == (20000, 2) and trace.dtype == np.float64
+    assert trace.flags.c_contiguous
+    assert peaks[20000] - peaks[2000] <= 32 * 18000
 
 
 def test_train_monotone_descent_on_quadratic():
@@ -414,7 +437,7 @@ def test_train_monotone_descent_on_quadratic():
     pairs, split = make_split(100, 2, seed=12)
     state, trace = train(zero_network(2, 3), pairs, split, epochs=60, lr=0.4, momentum=0.0,
                          patience=0)
-    errors = [e.train_mse for e in trace]
+    errors = trace[:, 0]
     assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
 
 
@@ -423,14 +446,14 @@ def test_train_trace_bitwise_deterministic():
     net = init_network(3, 6, seed=7)
     _, t1 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=0)
     _, t2 = train(net, pairs, split, epochs=150, lr=0.05, momentum=0.9, patience=0)
-    assert t1 == t2
+    assert t1.shape == (150, 2) and np.array_equal(t1, t2)
 
 
 def test_train_returns_best_validation_state():
     pairs, split = make_split(100, 2, seed=44, target_fn=lambda x: x[0] * x[1], noise=0.3)
     net = init_network(2, 8, seed=3)
     state, trace = train(net, pairs, split, epochs=400, lr=0.1, momentum=0.9, patience=0)
-    assert state.validation_mse <= min(e.validation_mse for e in trace)
+    assert state.validation_mse <= trace[:, 1].min()
 
 
 def test_train_leaves_its_network_unchanged():

@@ -71,8 +71,12 @@ def assert_close(got, want, rtol):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
 
 
-def errors(trace):
-    return [(e.train_mse, e.validation_mse) for e in trace]
+def reference_trace(entries):
+    """A reference trainer's trace in `train`'s form, the (k, 2) float64
+    array of (train MSE, validation MSE), once its entries are checked to
+    number the epochs 1..k."""
+    assert [e.epoch for e in entries] == list(range(1, len(entries) + 1))
+    return np.array([e[1:] for e in entries], dtype=np.float64).reshape(-1, 2)
 
 
 def named_split(pairs, split):
@@ -90,9 +94,10 @@ def assert_runs_agree(net, pairs, split, epochs, lr, momentum, patience, rtol=TR
     ref_state, ref_trace = reference_train(net, named_split(pairs, split), epochs, lr, momentum,
                                            patience)
     # control flow: exactly the same epochs, stop and best epoch
-    assert [e.epoch for e in trace] == [e.epoch for e in ref_trace]
+    ref_trace = reference_trace(ref_trace)
+    assert trace.shape == ref_trace.shape
     assert state.epoch == ref_state.epoch
-    assert_close(errors(trace), errors(ref_trace), rtol)
+    assert_close(trace, ref_trace, rtol)
     assert_close([state.train_mse, state.validation_mse],
                  [ref_state.train_mse, ref_state.validation_mse], rtol)
     for name in ARRAYS:
@@ -178,7 +183,7 @@ def test_plateau_keeps_the_first_best_epoch():
     net = Network(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
     state, trace = assert_runs_agree(net, pairs, split, 1000, 0.4, 0.0, patience=50, rtol=0.0)
     assert len(trace) < 1000 and state.epoch == len(trace) - 50
-    assert trace[-1].validation_mse == state.validation_mse
+    assert trace[-1, 1] == state.validation_mse
 
 
 def test_zero_error_stops_at_once():
@@ -204,8 +209,9 @@ def assert_same_failure(net, pairs, split, epochs, lr, momentum, patience=None):
     want = failure(lambda: reference_train(net, named_split(pairs, split), epochs, lr, momentum,
                                            patience))
     assert (kind, message) == want[:2]
-    assert [e.epoch for e in trace] == [e.epoch for e in want[2]]
-    assert_close(errors(trace), errors(want[2]), TRACE_RTOL)
+    want_trace = reference_trace(want[2])
+    assert trace.shape == want_trace.shape
+    assert_close(trace, want_trace, TRACE_RTOL)
     return kind, message, trace
 
 
@@ -243,19 +249,25 @@ def test_non_finite_step_fails_like_the_reference():
     want = failure(lambda: reference_train(net, named_split(pairs, split), 5, 1e10, 0.9))
     assert want[:2] == (ValueError, "network parameters must be finite")
     assert got[:2] == (DivergenceDetected, "parameters became non-finite at epoch 1")
-    assert got[2] == want[2] == []
+    assert want[2] == []
+    assert got[2].shape == (0, 2) and got[2].dtype == np.float64
 
 
-def outcome(run):
+def outcome(run, as_trace=lambda trace: trace):
     """A run's result with every float as its bytes: ("ok", best epoch, best
-    flat vector, best errors, trace) or ("diverged", message, trace)."""
+    flat vector, best errors, trace) or ("diverged", message, trace), the
+    trace as its shape, dtype and bytes; `as_trace` puts a reference
+    trainer's trace in `train`'s form."""
+    def trace_bytes(trace):
+        trace = as_trace(trace)
+        return trace.shape, trace.dtype, trace.tobytes()
+
     try:
         state, trace = run()
     except DivergenceDetected as exc:
-        return "diverged", str(exc), np.array(exc.trace, dtype=np.float64).tobytes()
+        return "diverged", str(exc), trace_bytes(exc.trace)
     errors = np.array([state.train_mse, state.validation_mse]).tobytes()
-    return ("ok", state.epoch, state.network.flat.tobytes(), errors,
-            np.array(trace, dtype=np.float64).tobytes())
+    return "ok", state.epoch, state.network.flat.tobytes(), errors, trace_bytes(trace)
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,7 +295,7 @@ def test_trainer_matches_allocating_trainer_bitwise(m, h, n, seed, scale, weight
                                                     patience, epochs):
     """Across sizes, step sizes and stopping rules, including runs that
     diverge through the gradient, the step or the training error (inputs up
-    to 1e308 against hidden weights down to 1e-308): the same trace entries,
+    to 1e308 against hidden weights down to 1e-308): the same trace,
     best epoch, best errors and best flat vector to the bit, or the same
     DivergenceDetected message and partial trace."""
     rng = SplitMix64(seed)
@@ -295,6 +307,6 @@ def test_trainer_matches_allocating_trainer_bitwise(m, h, n, seed, scale, weight
     before = net.flat.copy()
     got = outcome(lambda: train(net, pairs, split, epochs, lr, momentum, patience or 0))
     want = outcome(lambda: allocating_train(net, named_split(pairs, split), epochs, lr, momentum,
-                                            patience))
+                                            patience), reference_trace)
     assert got == want
     np.testing.assert_array_equal(net.flat, before)
