@@ -23,7 +23,10 @@ write trace.csv along the other paths of the trace: one that diverges at
 epoch 23 (exit 1, a 22-row partial trace), a baseline of one 320-epoch
 stage, and one with a budget of 10^9 epochs per stage that early stopping
 ends after 38,674 epochs in all, which a trainer that preallocated its
-budget could not run.
+budget could not run; and every way a run draws its validation splits, at
+fraction 0.25 and seeds other than the golden one: a train, whose stages
+each re-draw their split, and a compare at pc_step 1, whose seeds hand one
+split to both arms and whose curve scores on its first stage's split.
 
 Prints each artifact (by sha256), exit code, stdout and stderr that differs
 between the sides and exits 1 if any does; prints what it compared and exits
@@ -69,6 +72,10 @@ COMMANDS = (
      "--set", "output_dir=baseline"],
     ["train", "--config", "golden_config.json", "--set", "stage_epochs=1000000000",
      "--set", "patience=200", "--set", "output_dir=unbounded"],
+    ["train", "--config", "golden_config.json", "--set", "validation_fraction=0.25",
+     "--set", "seed=7", "--set", "output_dir=fraction"],
+    ["compare", "--config", "golden_config.json", "--set", "validation_fraction=0.25",
+     "--set", "seeds=3,4", "--set", "pc_step=1", "--set", "output_dir=fraction"],
 )
 
 

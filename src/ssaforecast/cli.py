@@ -122,11 +122,10 @@ def cmd_train(config: RunConfig, echo: dict, mode: str) -> int:
         counts, params = (None,), replace(params, epochs=params.epochs * len(counts))
     else:
         dec = ssa.decompose(std, config.window)
+    splits = cur.stage_splits(std.n - config.embedding, len(counts),
+                              config.validation_fraction, config.seed)
     try:
-        result = cur.curriculum_train(
-            std, dec, config.embedding, counts, config.hidden_units, params,
-            config.seed, config.validation_fraction, config.patience,
-        )
+        result = cur.curriculum_train(std, dec, initial, counts, splits, params, config.patience)
     except DivergenceDetected as exc:
         _write_train_outputs(out, exc.stage_traces)
         raise

@@ -1,14 +1,14 @@
 """Coarse-to-fine training: fit the network on a 2-component reconstruction
 first, re-train on progressively richer reconstructions, and finish on the
 raw series.  One network persists across stages (warm start).  The baseline
-arm is the same loop with one raw stage, so it shares the embedding, split
-and initialization rules."""
+arm is the same loop with one raw stage; each caller hands the loop its
+starting network and every stage's split."""
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,18 +16,16 @@ import numpy as np
 from .errors import BadHorizon, BadStep, ConfigError, DivergenceDetected, NonFiniteOutput
 from .forecast import forecast_series
 from .lanes import run_side_by_side
-from .mlp import Batch, TrainState, forward_batch, init_network, mse, train
+from .mlp import Batch, Network, TrainState, forward_batch, init_network, mse, train
 from .series import StandardizedSeries, build_embedding, split_validation, standardize
 from .ssa import Decomposition, decompose, partial_reconstruction
-
-DEFAULT_VALIDATION_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
 class StageParams:
     epochs: int
     lr: float
-    momentum: float = 0.9
+    momentum: float
 
 
 def stage_counts(window: int, pc_step: int) -> tuple[int | None, ...]:
@@ -41,6 +39,12 @@ def stage_counts(window: int, pc_step: int) -> tuple[int | None, ...]:
     if ps[-1] != window:
         ps.append(window)
     return (*ps, None)
+
+
+def stage_splits(count: int, stages: int, fraction: float, seed: int) -> list:
+    """One (train, validation) split of `count` pairs per stage, stage i
+    drawn with seed + i: the splits of `train` and of the error-vs-p sweep."""
+    return [split_validation(count, fraction, seed + idx) for idx in range(stages)]
 
 
 @dataclass(frozen=True)
@@ -62,35 +66,30 @@ class CurriculumResult:
 def curriculum_train(
     series: StandardizedSeries,
     dec: Decomposition | None,
-    embedding: int,
-    counts: Iterable[int | None],
-    hidden: int,
+    net: Network,
+    counts: Sequence[int | None],
+    splits: Sequence[tuple[np.ndarray, np.ndarray]],
     params: StageParams,
-    seed: int,
-    fraction: float = DEFAULT_VALIDATION_FRACTION,
-    patience: int = 0,
-    pin_split: bool = False,
+    patience: int,
 ) -> CurriculumResult:
-    """Train one warm-started network through a stage per entry of `counts`:
-    the p-component reconstruction of `series`, or the raw series for None.
+    """Train `net`, warm-started, through a stage per entry of `counts`: the
+    p-component reconstruction of `series`, or the raw series for None, on
+    the stage's (train, validation) index pair in `splits`.
 
     `dec` is the decomposition of `series`, computed once by the
     caller and shared by all stages and seeds; a raw-only run needs none.
     Each stage embeds its own source series (filtered inputs predict filtered
-    targets), re-draws the validation split with seed + stage index, and
-    hands its returned parameters to the next stage.  With pin_split=True the
-    split is drawn once, with the seed, and every stage reuses its pair
-    indices, which makes a run directly comparable to a baseline run on the
-    same seed.
+    targets) and hands its returned parameters to the next stage.  The
+    caller states the pairing: the starting network and every stage's split.
     """
-    net = init_network(embedding, hidden, seed)
+    if not counts or len(splits) != len(counts):
+        raise BadStep(f"{len(counts)} stages and {len(splits)} splits: a run needs at least "
+                      "one stage and one split per stage")
     states: list[TrainState] = []
     traces: list[np.ndarray] = []
-    for idx, p in enumerate(counts):
+    for p, split in zip(counts, splits):
         source = series.values if p is None else partial_reconstruction(dec, p)
-        pairs = build_embedding(source, embedding)
-        if not (pin_split and idx):  # a pinned run keeps the first stage's indices
-            split = split_validation(pairs[1].size, fraction, seed if pin_split else seed + idx)
+        pairs = build_embedding(source, net.input_dim)
         try:
             state, trace = train(net, pairs, split, params.epochs, params.lr, params.momentum,
                                  patience)
@@ -127,23 +126,25 @@ def error_vs_pc_curve(
     hidden: int,
     params: StageParams,
     seed: int,
-    fraction: float = DEFAULT_VALIDATION_FRACTION,
+    fraction: float,
 ) -> PcCurve:
-    """Cumulative warm-started sweep over p = 2..window.
+    """Cumulative warm-started sweep over p = 2..window, early stopping off.
 
-    After training on each reconstruction depth the network is scored against
-    raw-series pairs (one fixed split, drawn with the run seed), so every
-    point and the baseline level share a common target.  The baseline arm
-    gets the same total epoch budget in a single raw run.
+    One network, drawn with the run seed, starts the sweep, whose stage i
+    trains on the split drawn with seed + i (`stage_splits`), and the
+    baseline arm: the sweep's epoch budget in one raw run on the first
+    stage's split.  Every point and the baseline level are scored on the
+    raw-series pairs of that split, a common target.
     """
     dec = decompose(series, window)
-    ps = range(2, window + 1)
-    sweep = curriculum_train(series, dec, embedding, ps, hidden, params, seed, fraction)
-    base = curriculum_train(series, None, embedding, (None,), hidden,
-                            replace(params, epochs=sweep.total_epochs), seed, fraction)
-    # built after training, which checks `hidden` first
+    ps = stage_counts(window, 1)[:-1]  # 2..window
+    net = init_network(embedding, hidden, seed)
+    splits = stage_splits(series.n - embedding, len(ps), fraction, seed)
+    sweep = curriculum_train(series, dec, net, ps, splits, params, 0)
+    base = curriculum_train(series, None, net, (None,), splits[:1],
+                            replace(params, epochs=sweep.total_epochs), 0)
     x, y = build_embedding(series.values, embedding)
-    batches = [Batch(x[i], y[i], hidden) for i in split_validation(y.size, fraction, seed)]
+    batches = [Batch(x[i], y[i], hidden) for i in splits[0]]
 
     def score(net) -> tuple[float, ...]:
         return tuple(mse(forward_batch(net, b), b.targets) for b in batches)
@@ -216,11 +217,13 @@ def _compare_seed(
     seed: int,
     fraction: float,
 ) -> SeedComparison:
-    """Both arms of one seed: curriculum, then a baseline with its budget."""
-    cur = curriculum_train(std, dec, embedding, counts, hidden, params, seed, fraction,
-                           pin_split=True)
-    base = curriculum_train(std, None, embedding, (None,), hidden,
-                            replace(params, epochs=cur.total_epochs), seed, fraction)
+    """Both arms of one seed, from one network and one split (every stage's),
+    early stopping off: curriculum, then a baseline with its budget."""
+    net = init_network(embedding, hidden, seed)
+    split = split_validation(std.n - embedding, fraction, seed)
+    cur = curriculum_train(std, dec, net, counts, [split] * len(counts), params, 0)
+    base = curriculum_train(std, None, net, (None,), [split],
+                            replace(params, epochs=cur.total_epochs), 0)
     forecasts = [forecast_series(run.final_state.network, std, holdout.size).predictions
                  for run in (cur, base)]
     # an overflow is reported below, not warned about
@@ -248,15 +251,15 @@ def compare_curriculum_baseline(
     pc_step: int,
     seeds,
     horizon: int,
-    fraction: float = DEFAULT_VALIDATION_FRACTION,
+    fraction: float,
 ) -> ComparisonResult:
     """Paired-seed comparison on one series (original units).
 
     The last `horizon` samples are held out; both arms train on the rest
     under identical total epoch budgets (early stopping disabled) and then
-    forecast the holdout closed-loop.  Pairing: per seed, both arms share
-    initial weights and the identical train/validation pair split (pinned
-    across curriculum stages), and the baseline budget equals the epochs the
+    forecast the holdout closed-loop.  Pairing: per seed, one network and one
+    train/validation split are drawn and handed to both arms, the split to
+    every curriculum stage, and the baseline budget equals the epochs the
     curriculum consumed, so the reported validation errors differ only
     through the training path.
 

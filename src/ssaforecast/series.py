@@ -179,7 +179,7 @@ def split_validation(count: int, fraction: float, seed: int) -> tuple[np.ndarray
     if not 0.0 < fraction < 1.0:
         raise BadFraction(f"fraction must lie in (0, 1), got {fraction}")
     if count < 2:
-        raise ValueError("need at least two pairs to split")
+        raise EmbeddingTooLarge(f"need at least 2 (window, target) pairs to split, got {count}")
     k = int(math.floor(fraction * count + 0.5))
     k = min(max(k, 1), count - 1)
     perm = SplitMix64(seed).permutation(count)

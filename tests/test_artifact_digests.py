@@ -7,4 +7,4 @@ def test_checkout_against_itself_shows_no_difference(repo_root, monkeypatch, cap
 
     monkeypatch.setattr(artifact_digests, "export", lambda ref, dest: dest.symlink_to(repo_root))
     assert artifact_digests.main(["HEAD"]) == 0
-    assert capsys.readouterr().out == "15 commands, 26 artifacts: 0 differences\n"
+    assert capsys.readouterr().out == "17 commands, 31 artifacts: 0 differences\n"

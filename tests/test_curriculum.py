@@ -1,9 +1,12 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ssaforecast import curriculum, mlp
 from ssaforecast.benchmark import two_sine_benchmark
+from ssaforecast.cli import main
 from ssaforecast.curriculum import (
     ComparisonResult,
     SeedComparison,
@@ -13,9 +16,10 @@ from ssaforecast.curriculum import (
     error_vs_pc_curve,
     sign_test_p,
     stage_counts,
+    stage_splits,
 )
 from ssaforecast.errors import (
-    BadComponentCount, BadHorizon, BadStep, ConfigError, DivergenceDetected,
+    BadComponentCount, BadHorizon, BadStep, ConfigError, DivergenceDetected, EmbeddingTooLarge,
 )
 from ssaforecast.forecast import forecast_series
 from ssaforecast.mlp import init_network, train
@@ -29,6 +33,14 @@ PARAMS = StageParams(epochs=60, lr=0.05, momentum=0.9)
 @pytest.fixture(scope="module")
 def bench_series():
     return standardize(two_sine_benchmark(400, seed=0))
+
+
+def redrawn(series, dec, m, counts, hidden, params, seed):
+    """`curriculum_train` as `train` runs it: the seed's network, and each
+    stage's split re-drawn with seed + stage index, at fraction 0.10 and
+    patience 0."""
+    splits = stage_splits(series.n - m, len(counts), 0.10, seed)
+    return curriculum_train(series, dec, init_network(m, hidden, seed), counts, splits, params, 0)
 
 
 # -- stage_counts ---------------------------------------------------------------
@@ -64,7 +76,7 @@ def test_warm_start_continuity(bench_series, counts):
     and handed-on states bitwise; a raw-only run is the baseline arm."""
     window, m, hidden, seed = 12, 5, 6, 5
     dec = decompose(bench_series, window)
-    result = curriculum_train(bench_series, dec, m, counts, hidden, PARAMS, seed)
+    result = redrawn(bench_series, dec, m, counts, hidden, PARAMS, seed)
 
     net = init_network(m, hidden, seed)
     for idx, p in enumerate(counts):
@@ -80,42 +92,52 @@ def test_warm_start_continuity(bench_series, counts):
 
 def test_stage_traces_partition_epochs(bench_series):
     counts = stage_counts(12, 4)
-    result = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS,
-                              seed=2)
+    result = redrawn(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=2)
     assert result.total_epochs == sum(len(t) for t in result.stage_traces)
     assert len(result.stage_traces) == len(result.states) == len(counts)
 
 
-def test_pinned_split_is_drawn_once(bench_series, monkeypatch):
-    """With pin_split=True the first stage draws the split and the later
-    stages reuse its pair indices: one permutation for five stages, and each
-    stage trains bitwise as on the split the seed draws for its own pairs."""
-    window, m, hidden, seed = 12, 5, 6, 4
-    counts = stage_counts(window, 4)
-    assert len(counts) == 5
-    dec = decompose(bench_series, window)
-    calls = []
-    permutation = SplitMix64.permutation
-    monkeypatch.setattr(SplitMix64, "permutation",
-                        lambda rng, n: calls.append(n) or permutation(rng, n))
-    result = curriculum_train(bench_series, dec, m, counts, hidden, PARAMS, seed, pin_split=True)
-    assert len(calls) == 1
-    monkeypatch.undo()
+def test_pairing_is_structural(workdir, monkeypatch):
+    """Each experiment draws its starting network and its splits once, where
+    it is defined: a compare seed draws one network and one permutation and
+    hands both to both arms; the curve at window W draws one network and
+    W - 1 permutations, one a sweep stage, the first shared by the baseline
+    arm and the scoring; `train` trains the network it fingerprints."""
+    calls = Counter()
 
-    net = init_network(m, hidden, seed)
-    for idx, p in enumerate(counts):
-        source = bench_series.values if p is None else partial_reconstruction(dec, p)
-        pairs = build_embedding(source, m)
-        split = split_validation(pairs[1].size, 0.10, seed)
-        state, trace = train(net, pairs, split, PARAMS.epochs, PARAMS.lr, PARAMS.momentum, 0)
-        assert np.array_equal(trace, result.stage_traces[idx])
-        net = state.network
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    network = counting("init_network", init_network)
+    monkeypatch.setattr(curriculum, "init_network", network)
+    monkeypatch.setattr(mlp, "init_network", network)
+    monkeypatch.setattr(SplitMix64, "permutation",
+                        counting("permutation", SplitMix64.permutation))
+
+    values = two_sine_benchmark(400, seed=3)
+    std = standardize(values[:-25])
+    counts = stage_counts(12, 4)
+    assert len(counts) == 5
+    curriculum._compare_seed(std, decompose(std, 12), values[-25:], 5, counts, 6,
+                             StageParams(10, 0.05, 0.9), 4, 0.10)
+    assert calls == {"init_network": 1, "permutation": 1}
+
+    calls.clear()
+    error_vs_pc_curve(std, 8, 4, 5, StageParams(10, 0.05, 0.9), 0, 0.10)
+    assert calls == {"init_network": 1, "permutation": 7}
+
+    calls.clear()
+    assert main(["train", "--config", "golden_config.json"]) == 0  # 4 stages
+    assert calls == {"init_network": 1, "permutation": 4}
 
 
 def test_curriculum_bitwise_reproducible(bench_series):
     counts = stage_counts(12, 4)
-    a = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
-    b = curriculum_train(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
+    a = redrawn(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
+    b = redrawn(bench_series, decompose(bench_series, 12), 5, counts, 6, PARAMS, seed=7)
     assert len(a.stage_traces) == len(b.stage_traces) == len(counts)
     assert all(map(np.array_equal, a.stage_traces, b.stage_traces))
     np.testing.assert_array_equal(
@@ -125,26 +147,45 @@ def test_curriculum_bitwise_reproducible(bench_series):
 
 def test_curriculum_rejects_oversized_stage(bench_series):
     with pytest.raises(BadComponentCount):
-        curriculum_train(bench_series, decompose(bench_series, 12), 5, (2, 40, None), 6, PARAMS,
-                         seed=0)
+        redrawn(bench_series, decompose(bench_series, 12), 5, (2, 40, None), 6, PARAMS, seed=0)
 
 
 @pytest.mark.parametrize("params", [
-    StageParams(epochs=0, lr=0.05), StageParams(epochs=10, lr=0.0),
+    StageParams(epochs=0, lr=0.05, momentum=0.9), StageParams(epochs=10, lr=0.0, momentum=0.9),
     StageParams(epochs=10, lr=0.05, momentum=1.0),
 ])
 def test_curriculum_rejects_bad_stage_params(bench_series, params):
     with pytest.raises(ConfigError):
-        curriculum_train(bench_series, None, 5, (None,), 6, params, seed=0)
+        redrawn(bench_series, None, 5, (None,), 6, params, seed=0)
+
+
+@pytest.mark.parametrize("counts, stages", [((), 0), ((None,), 0), ((2, None), 1)])
+def test_curriculum_rejects_a_run_without_a_split_for_each_stage(bench_series, counts, stages):
+    splits = stage_splits(bench_series.n - 5, stages, 0.10, 0)
+    with pytest.raises(BadStep):
+        curriculum_train(bench_series, decompose(bench_series, 12), init_network(5, 6, 0),
+                         counts, splits, PARAMS, 0)
+
+
+def test_oversized_library_embedding_is_a_validation_error():
+    # 200 points leave one (window, target) pair to a 199-input network
+    series = standardize(two_sine_benchmark(200, seed=0))
+    with pytest.raises(EmbeddingTooLarge):
+        error_vs_pc_curve(series, 8, 199, 5, PARAMS, 0, 0.10)
 
 
 # -- error_vs_pc_curve -----------------------------------------------------------
 
 def test_curve_point_count(bench_series):
-    curve = error_vs_pc_curve(bench_series, 8, 4, 5, PARAMS, seed=0)
+    curve = error_vs_pc_curve(bench_series, 8, 4, 5, PARAMS, seed=0, fraction=0.10)
     assert [pt.p for pt in curve.points] == list(range(2, 9))
     assert curve.curriculum_epochs == 7 * PARAMS.epochs
     assert curve.baseline_epochs == curve.curriculum_epochs
+
+
+def test_curve_rejects_a_window_below_two(bench_series):
+    with pytest.raises(BadStep, match="window must be at least 2"):
+        error_vs_pc_curve(bench_series, 1, 4, 5, PARAMS, seed=0, fraction=0.10)
 
 
 def test_full_reconstruction_trains_like_raw(bench_series):
@@ -171,7 +212,7 @@ def test_curve_tail_reaches_baseline_level():
     std = standardize(two_sine_benchmark(600, seed=0))
     params = StageParams(200, 0.05, 0.9)
     for seed in (0, 1, 2):
-        curve = error_vs_pc_curve(std, 35, 5, 10, params, seed)
+        curve = error_vs_pc_curve(std, 35, 5, 10, params, seed, 0.10)
         vals = np.array([pt.validation_mse for pt in curve.points])
         assert int(np.argmin(vals)) >= len(vals) // 2
         assert vals[-1] <= vals[0]
@@ -183,7 +224,7 @@ def test_curve_tail_reaches_baseline_level():
 def test_comparison_budgets_equal(bench_series):
     values = two_sine_benchmark(400, seed=3)
     res = compare_curriculum_baseline(
-        values, 12, 5, 6, StageParams(40, 0.05, 0.9), 4, seeds=[0, 1], horizon=30
+        values, 12, 5, 6, StageParams(40, 0.05, 0.9), 4, seeds=[0, 1], horizon=30, fraction=0.10
     )
     assert len(res.per_seed) == 2
     for record in res.per_seed:
@@ -194,10 +235,10 @@ def test_comparison_budgets_equal(bench_series):
 def test_comparison_deterministic():
     values = two_sine_benchmark(400, seed=3)
     a = compare_curriculum_baseline(
-        values, 12, 5, 6, StageParams(30, 0.05, 0.9), 4, seeds=[5], horizon=25
+        values, 12, 5, 6, StageParams(30, 0.05, 0.9), 4, seeds=[5], horizon=25, fraction=0.10
     )
     b = compare_curriculum_baseline(
-        values, 12, 5, 6, StageParams(30, 0.05, 0.9), 4, seeds=[5], horizon=25
+        values, 12, 5, 6, StageParams(30, 0.05, 0.9), 4, seeds=[5], horizon=25, fraction=0.10
     )
     assert a.per_seed == b.per_seed
 
@@ -207,12 +248,16 @@ def test_comparison_rmse_scores_the_predict_path():
     # the held-out tail of the series
     values = two_sine_benchmark(400, seed=3)
     params = StageParams(30, 0.05, 0.9)
-    res = compare_curriculum_baseline(values, 12, 5, 6, params, 4, seeds=[5], horizon=25)
+    res = compare_curriculum_baseline(values, 12, 5, 6, params, 4, seeds=[5], horizon=25,
+                                      fraction=0.10)
     fit, holdout = values[:-25], values[-25:]
     std = standardize(fit)
-    cur = curriculum_train(std, decompose(std, 12), 5, stage_counts(12, 4), 6, params, 5,
-                           pin_split=True)
-    base = curriculum_train(std, None, 5, (None,), 6, replace(params, epochs=cur.total_epochs), 5)
+    # both arms from the seed's network and split, which every stage keeps
+    net, split = init_network(5, 6, 5), split_validation(std.n - 5, 0.10, 5)
+    counts = stage_counts(12, 4)
+    cur = curriculum_train(std, decompose(std, 12), net, counts, [split] * len(counts), params, 0)
+    base = curriculum_train(std, None, net, (None,), [split],
+                            replace(params, epochs=cur.total_epochs), 0)
     cur_rmse, base_rmse = (
         np.sqrt(np.mean((forecast_series(run.final_state.network, std, 25).predictions
                          - holdout) ** 2))
@@ -258,20 +303,20 @@ def test_comparison_rejects_oversized_horizon():
     values = two_sine_benchmark(100, seed=0)
     with pytest.raises(BadHorizon):
         compare_curriculum_baseline(
-            values, 12, 5, 6, PARAMS, 4, seeds=[0], horizon=95
+            values, 12, 5, 6, PARAMS, 4, seeds=[0], horizon=95, fraction=0.10
         )
 
 
 def test_comparison_rejects_empty_seeds():
     with pytest.raises(ConfigError, match="seeds must be non-empty"):
         compare_curriculum_baseline(two_sine_benchmark(100, seed=0), 12, 5, 6, PARAMS, 4,
-                                    seeds=[], horizon=10)
+                                    seeds=[], horizon=10, fraction=0.10)
 
 
 def test_divergence_carries_stage_traces(bench_series):
     with pytest.raises(DivergenceDetected) as err:
-        curriculum_train(bench_series, decompose(bench_series, 12), 5, stage_counts(12, 6), 6,
-                         StageParams(50, 1e6, 0.0), seed=0)
+        redrawn(bench_series, decompose(bench_series, 12), 5, stage_counts(12, 6), 6,
+                StageParams(50, 1e6, 0.0), seed=0)
     assert hasattr(err.value, "stage_traces")
     assert err.value.stage_traces[-1] is err.value.trace
     assert err.value.trace.ndim == 2 and err.value.trace.shape[1] == 2
@@ -281,6 +326,7 @@ def test_comparison_failure_carries_completed_seeds():
     values = two_sine_benchmark(400, seed=3)
     with pytest.raises(DivergenceDetected) as err:
         compare_curriculum_baseline(
-            values, 12, 5, 6, StageParams(40, 1e6, 0.0), 4, seeds=[0, 1], horizon=30
+            values, 12, 5, 6, StageParams(40, 1e6, 0.0), 4, seeds=[0, 1], horizon=30,
+            fraction=0.10,
         )
     assert err.value.completed.per_seed == ()

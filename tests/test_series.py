@@ -206,6 +206,13 @@ def test_split_bad_fraction():
             split_validation(18, f, seed=0)
 
 
+def test_split_of_fewer_than_two_pairs_is_a_validation_error():
+    # an embedding that leaves 1 or no pairs meets this check first in the library
+    for count in (1, 0, -3):
+        with pytest.raises(EmbeddingTooLarge, match="at least 2"):
+            split_validation(count, 0.10, seed=0)
+
+
 def test_split_minimum_one_validation_pair():
     _, validation = split_validation(10, 0.01, seed=0)
     assert validation.size == 1
