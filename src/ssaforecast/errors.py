@@ -19,9 +19,10 @@ class SsaForecastError(Exception):
     """Base class for every error raised by this package."""
 
     def __reduce__(self):
-        # pickle (compare sends errors back from its worker processes) must
-        # not re-run __init__: several subclasses build their message from
-        # other arguments, so __init__(message) would nest it or fail
+        # pickle (a forked lane worker pickles each task's outcome, an error
+        # too, into its pipe, and the caller unpickles it) must not re-run
+        # __init__: several subclasses build their message from other
+        # arguments, so __init__(message) would nest it or fail
         return _restore, (type(self), self.args, self.__dict__)
 
 

@@ -17,7 +17,10 @@ per CPU (`lanes.run_side_by_side`) once it has passed the finiteness check.
 Its rows are cut into one contiguous range per lane: lane 0 formats the
 first range straight into the temp file, every other range goes to
 ``<temp>.part<k>``, and the parts are then appended in order by the kernel
-(``os.sendfile``) and removed.  The bytes do not depend on the lane count.
+(``os.sendfile``) and removed.  Each worker lane is an ``os.fork()`` that
+pickles only its outcome (None, or the exception that failed its range) into
+a pipe and ends with ``os._exit``; every worker is reaped before the write
+goes on.  The bytes do not depend on the lane count.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ _INDENT = 2
 # 1.6 MiB at 66 columns and 6.2 MiB at 257 as Python floats and strings)
 _BLOCK_CELLS = 1 << 12
 # cells from which a float array is formatted on several lanes.  Measured on
-# 2 vCPUs in an 86 MB process: a second lane costs about 5 ms (fork, join,
-# sendfile) and one lane formats and writes about 0.37 us a cell, so two
-# lanes took 14.5 ms against one lane's 13.1 ms at 32,896 cells and 17.5 ms
-# against 25.2 ms at 65,792 cells
+# 2 vCPUs in a 37 MiB process that had imported bench/run.py, writing a
+# 129-column components table, medians of 15 writes over 4 rounds: one lane
+# took 6.2-10.7 ms against two lanes' 9.0-12.6 ms at 33,000 cells, the two
+# broke even at 66,000 (12.3-19.3 against 12.8-19.2 ms), and two lanes took
+# 19.2-27.7 ms against one lane's 22.5-39.3 ms at 132,000
 _LANE_CELLS = 1 << 16
 _temp_ids = itertools.count()
 

@@ -2,7 +2,14 @@
 other lane in one forked worker.  `compare` runs its curve and seeds this
 way, and `jsonio.write_csv` its row ranges; neither result depends on the
 number of lanes.  Lanes are the only parallelism: every CLI command runs
-BLAS on one thread (`one_blas_thread`), and forked workers inherit that."""
+BLAS on one thread (`one_blas_thread`), and forked workers inherit that.
+
+The worker protocol: each worker comes from `os.fork()`, pickles one
+`(outcome, warnings)` per task of its lane into its own `os.pipe()`, and
+ends with `os._exit`, so it never returns into the caller's stack.  The
+caller reads the pipes in task order; an end of file, at a frame or inside
+one, means the worker died.  Every worker is reaped before
+`run_side_by_side` returns or raises."""
 
 from __future__ import annotations
 
@@ -10,6 +17,8 @@ import contextlib
 import ctypes
 import functools
 import os
+import pickle
+import signal
 import warnings
 
 from .errors import RuntimeFailure
@@ -107,21 +116,41 @@ def _run_lane(tasks, lane):
             return
 
 
-def _lane_worker(tasks, lane, conn) -> None:
-    for outcome in _run_lane(tasks, lane):
-        conn.send(outcome)
-    conn.close()
+def _start_worker(tasks, lane):
+    """Fork a worker that pickles each outcome of `lane`, with its warnings,
+    into a pipe as soon as it is known, then exits (code 1 if anything
+    raised) without returning into the caller's stack; return its pid and
+    the read end of the pipe."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            pipe = open(write_fd, "wb")
+            for item in _run_lane(tasks, lane):
+                pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    # the next worker must not inherit this write end, or EOF would never
+    # arrive if this one died
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
-def _receive(conn, proc):
+def _receive(pid, reader, reaped):
     """The next outcome a worker lane sends, with its warnings; a worker
-    that died is a RuntimeFailure of the task it was running."""
+    that died, between frames or inside one, is reaped into `reaped`, and
+    is a RuntimeFailure of the task it was running."""
     try:
-        return conn.recv()
-    except EOFError:
-        proc.join()
+        return pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped.add(pid)
         return RuntimeFailure(
-            f"lane worker process exited with code {proc.exitcode} before finishing"
+            f"lane worker process exited with code {code} before finishing"
         ), []
 
 
@@ -137,41 +166,33 @@ def run_side_by_side(tasks, costs) -> list:
     pickled.  One lane (one CPU or one task) is the serial run.  A
     task's exception, whatever its type, is its outcome, so failures do not
     depend on the lane a task ran in.  A worker whose tasks all come after a
-    failure is stopped early.
+    failure is stopped early, and no worker outlives the call.
     """
     lanes = assign_lanes(costs, max(1, min(lane_count(), len(tasks))))
-    workers = []
-    sources = {}  # task index -> (reader, proc) of the worker lane running it
+    workers = []  # (pid, reader) of each worker lane
+    sources = {}  # task index -> the worker lane running it
+    reaped = set()  # pids of the workers that died
     try:
-        if len(lanes) > 1:
-            import multiprocessing
-
-            # more than one lane needs os.sched_getaffinity, found only where fork is
-            context = multiprocessing.get_context("fork")
-            for lane in lanes[1:]:
-                reader, writer = context.Pipe(duplex=False)
-                proc = context.Process(target=_lane_worker, args=(tasks, lane, writer))
-                proc.start()
-                # the next worker must not inherit this write end, or EOF
-                # would never arrive if this one died
-                writer.close()
-                workers.append((reader, proc))
-                sources.update(dict.fromkeys(lane, workers[-1]))
+        # more than one lane needs os.sched_getaffinity, found only where fork is
+        for lane in lanes[1:]:
+            workers.append(_start_worker(tasks, lane))
+            sources.update(dict.fromkeys(lane, workers[-1]))
         local = dict(zip(lanes[0], _run_lane(tasks, lanes[0])))
         # each worker sends its lane's outcomes in task order, so receiving
         # in task order reads every pipe in its own order
         outcomes = []
         for index in range(len(tasks)):
-            outcome, caught = local[index] if index in local else _receive(*sources[index])
+            outcome, caught = local[index] if index in local else _receive(*sources[index], reaped)
             for message, category, filename, lineno in caught:
                 warnings.showwarning(message, category, filename, lineno)
             outcomes.append(outcome)
             if isinstance(outcome, Exception):
                 break
     finally:
-        for reader, proc in workers:
-            # a worker still running holds only tasks whose outcome is not needed
-            proc.terminate()
-            proc.join()
+        for pid, reader in workers:
+            if pid not in reaped:
+                # a worker still running holds only outcomes that are not needed
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
             reader.close()
     return outcomes

@@ -7,6 +7,8 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 from ssaforecast import curriculum, jsonio
 from ssaforecast.benchmark import two_sine_benchmark
 from ssaforecast.cli import main
-from ssaforecast.errors import DivergenceDetected, NonFiniteOutput
+from ssaforecast.errors import DivergenceDetected, NonFiniteOutput, RuntimeFailure
 from ssaforecast.lanes import assign_lanes, run_side_by_side
 
 SEEDS = "0,1,2"
@@ -74,10 +76,15 @@ def test_artifacts_identical_on_one_and_two_lanes(workdir, monkeypatch, capsys):
     assert side_by_side["curve"] == serial["curve"]
 
 
-def test_wide_components_identical_on_one_and_two_lanes(workdir, monkeypatch):
-    # 600 rows of the series and 128 components: 77,400 cells, above the cutoff
+def write_wide_csv():
+    """wide.csv: 600 rows of the series, so that a decompose at window 128
+    writes 77,400 components cells, above the lane writer's cutoff."""
     rows = [f"{t},{v!r}" for t, v in enumerate(two_sine_benchmark(600, 0).tolist())]
     Path("wide.csv").write_text("\n".join(["time,value", *rows]) + "\n")
+
+
+def test_wide_components_identical_on_one_and_two_lanes(workdir, monkeypatch):
+    write_wide_csv()
     lanes = []
     run = jsonio.run_side_by_side
     monkeypatch.setattr(jsonio, "run_side_by_side",
@@ -164,22 +171,92 @@ def test_constant_holdout_compares_on_one_and_two_lanes(workdir, monkeypatch, ca
 
 # -- (c) a worker that dies ends the command with an error document ----------------------
 
-def test_dead_worker_exits_1_with_error_document(workdir, monkeypatch, capsys):
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("die, code", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -9),
+])
+def test_dead_worker_exits_1_with_error_document(workdir, monkeypatch, capsys, die, code):
     parent = os.getpid()
     train = curriculum.curriculum_train
 
-    def exit_in_worker(*args, **kwargs):
+    def die_in_worker(*args, **kwargs):
         if os.getpid() != parent:
-            os._exit(3)
+            die()
         return train(*args, **kwargs)
 
-    monkeypatch.setattr(curriculum, "curriculum_train", exit_in_worker)
+    monkeypatch.setattr(curriculum, "curriculum_train", die_in_worker)
     run = compare(monkeypatch, capsys, 2)
     assert run["code"] == 1
     assert run["err"].startswith("error: RuntimeFailure: ") and "Traceback" not in run["err"]
     doc = json.loads(run["comparison"])
-    assert "exited with code 3" in doc["error"]
+    assert f"exited with code {code} before finishing" in doc["error"]
     assert doc["medians"] == {}
+    assert_no_child_left()
+
+
+def killed_while_sending():
+    # the caller reads this lane's pipe only after its own one-second task,
+    # so the write of this outcome fills the pipe and blocks inside the
+    # frame until the alarm's default action kills the worker
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    return bytes(1 << 20)
+
+
+def test_worker_dying_inside_a_frame_is_its_death(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    outcomes = run_side_by_side([(time.sleep, (1,)), (killed_while_sending, ())], [2, 1])
+    assert outcomes[0] is None and len(outcomes) == 2
+    assert isinstance(outcomes[1], RuntimeFailure)
+    assert str(outcomes[1]) == "lane worker process exited with code -14 before finishing"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("tasks, length", [
+    # a normal return
+    ([(pow, (2, 1)), (pow, (2, 2)), (pow, (2, 3))], 3),
+    # a failing task in lane 0 stops the worker, whose task is not needed
+    ([(int, ("not a number",)), (time.sleep, (30,))], 1),
+    # the worker dies
+    ([(abs, (-1,)), (os._exit, (3,))], 2),
+], ids=["returned", "stopped", "died"])
+def test_no_worker_outlives_the_call(monkeypatch, tasks, length):
+    set_cpus(monkeypatch, 2)
+    outcomes = run_side_by_side(tasks, [len(tasks) - i for i in range(len(tasks))])
+    assert len(outcomes) == length
+    assert_no_child_left()
+
+
+CHECK_IMPORTS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+from ssaforecast.cli import main
+assert main(["compare", "--config", "golden_config.json", "--set", "seeds=0,1"]) == 0
+assert len(forks) == 1, forks
+assert main(["decompose", "--config", "golden_config.json", "--set", "input_csv=wide.csv",
+             "--set", "window=128"]) == 0
+assert len(forks) == 2, forks
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_no_command_imports_multiprocessing(workdir):
+    # a 2-lane compare and a decompose through the lane writer, each forking
+    # one worker, in a fresh interpreter
+    write_wide_csv()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(curriculum.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", CHECK_IMPORTS], capture_output=True, text=True,
+                         env=env, timeout=50)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 # -- (d) the lane assignment ------------------------------------------------------------
